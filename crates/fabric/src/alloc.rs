@@ -3,7 +3,7 @@
 
 use crate::ids::{FlowId, NodeId};
 use crate::port::Fabric;
-use crate::view::FabricView;
+use crate::view::{FabricView, FlowView};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -62,27 +62,17 @@ impl Allocation {
         Self::default()
     }
 
-    /// An empty allocation with room for `n` flows.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            commands: Vec::with_capacity(n),
-        }
-    }
-
-    /// Remove every command, keeping the backing storage.
-    pub fn clear(&mut self) {
-        self.commands.clear();
-    }
-
     fn position(&self, flow: FlowId) -> Result<usize, usize> {
         self.commands.binary_search_by_key(&flow, |(id, _)| *id)
     }
 
     /// Set the command for a flow, replacing any previous one.
     ///
-    /// Policies emit commands in ascending flow-id order almost always (they
-    /// iterate the id-sorted `FabricView`), which makes this an amortized
-    /// O(1) append; out-of-order sets fall back to a sorted insert.
+    /// Ascending flow ids append in amortized O(1); anything else is a
+    /// sorted insert that shifts every later command. Policies that walk the
+    /// id-sorted view emit in order; ordering policies emit coflow by coflow
+    /// in priority order, which is not id order — those build their commands
+    /// in a [`CommandSlots`] and convert once.
     pub fn set(&mut self, flow: FlowId, cmd: FlowCommand) {
         let append = match self.commands.last() {
             Some((last, _)) => *last < flow,
@@ -104,6 +94,12 @@ impl Allocation {
             Ok(i) => self.commands[i].1,
             Err(_) => FlowCommand::IDLE,
         }
+    }
+
+    /// [`Self::get`] for a caller that asks for ascending ids (see [`seek`]).
+    #[inline]
+    pub(crate) fn seek(&self, at: &mut usize, flow: FlowId) -> FlowCommand {
+        seek(&self.commands, at, flow, |(id, _)| *id).map_or(FlowCommand::IDLE, |(_, cmd)| *cmd)
     }
 
     /// Iterate over explicitly commanded flows in ascending id order.
@@ -178,24 +174,33 @@ impl Allocation {
     /// engine's reschedule path performs no per-call allocation once the
     /// buffers have grown to the fabric size.
     pub fn clamp_with_scratch(&mut self, view: &FabricView<'_>, scratch: &mut PortScratch) {
+        // Commands and view are both ascending in flow id, so each pass finds
+        // a command's endpoints by walking the two in step. Commands for
+        // flows the view does not hold are left alone.
         let n = view.fabric.num_nodes();
         for _ in 0..4 {
             scratch.reset(n);
+            let mut at = 0;
             for (id, cmd) in self.commands.iter() {
                 if cmd.compress || cmd.rate <= 0.0 {
                     continue;
                 }
-                let Some(f) = view.flow(*id) else { continue };
+                let Some(f) = seek(&view.flows, &mut at, *id, |f| f.id) else {
+                    continue;
+                };
                 scratch.add(f.src.index(), f.dst.index(), cmd.rate);
             }
             // All scale factors are derived from the same load snapshot, then
             // applied together — a second pass over the (unchanged) loads.
             let mut any = false;
+            let mut at = 0;
             for (id, cmd) in self.commands.iter_mut() {
                 if cmd.compress || cmd.rate <= 0.0 {
                     continue;
                 }
-                let Some(f) = view.flow(*id) else { continue };
+                let Some(f) = seek(&view.flows, &mut at, *id, |f| f.id) else {
+                    continue;
+                };
                 let e_over = scratch.egress_at(f.src.index()) / view.fabric.egress_cap(f.src);
                 let i_over = scratch.ingress_at(f.dst.index()) / view.fabric.ingress_cap(f.dst);
                 let over = e_over.max(i_over);
@@ -208,6 +213,68 @@ impl Allocation {
                 return;
             }
         }
+    }
+}
+
+/// The entry of `items` (ascending in `key`) whose key is `id`, for a caller
+/// that asks for ascending ids: `at` is the cursor it keeps between calls,
+/// and only moves forward, so a whole sequence of lookups is one walk.
+#[inline]
+pub(crate) fn seek<'a, T>(
+    items: &'a [T],
+    at: &mut usize,
+    id: FlowId,
+    key: impl Fn(&T) -> FlowId,
+) -> Option<&'a T> {
+    while *at < items.len() && key(&items[*at]) < id {
+        *at += 1;
+    }
+    items.get(*at).filter(|item| key(item) == id)
+}
+
+/// Commands under construction, one slot per flow of an id-sorted view.
+///
+/// Ordering policies decide flows in priority order and revisit them when
+/// backfilling. By position in `view.flows` every write and read-back is an
+/// array access, and [`CommandSlots::to_allocation`] emits the id-sorted
+/// [`Allocation`] in one pass; [`Allocation::set`] would shift the tail per
+/// out-of-order command and [`Allocation::get`] would search.
+#[derive(Debug, Clone, Default)]
+pub struct CommandSlots {
+    slots: Vec<Option<FlowCommand>>,
+}
+
+impl CommandSlots {
+    /// Forget every command and cover `n` flows.
+    pub fn reset(&mut self, n: usize) {
+        self.slots.clear();
+        self.slots.resize(n, None);
+    }
+
+    /// Set the command of the flow at `pos`, replacing any previous one.
+    #[inline]
+    pub fn set(&mut self, pos: usize, cmd: FlowCommand) {
+        self.slots[pos] = Some(cmd);
+    }
+
+    /// Command of the flow at `pos` (idle when unset).
+    #[inline]
+    pub fn get(&self, pos: usize) -> FlowCommand {
+        self.slots[pos].unwrap_or(FlowCommand::IDLE)
+    }
+
+    /// The allocation holding exactly the commands that were set; `flows` is
+    /// the id-sorted view the positions refer to.
+    pub fn to_allocation(&self, flows: &[FlowView]) -> Allocation {
+        // Sized to what was set: most flows of a loaded view stay idle.
+        let mut commands = Vec::with_capacity(self.slots.iter().flatten().count());
+        commands.extend(
+            flows
+                .iter()
+                .zip(&self.slots)
+                .filter_map(|(f, slot)| slot.map(|cmd| (f.id, cmd))),
+        );
+        Allocation { commands }
     }
 }
 
@@ -682,6 +749,68 @@ mod clamp_tests {
         alloc.set(FlowId(1), FlowCommand::transmit(5.0));
         alloc.clamp_to_capacity(&view);
         assert_eq!(alloc.get(FlowId(1)).rate, 5.0);
+    }
+
+    #[test]
+    fn clamp_walks_past_commands_for_flows_outside_the_view() {
+        // Commands for flows 0, 2 and 9 are not in the view {1, 3}; they
+        // load no port and keep their rates, between and around the two
+        // that are clamped.
+        let (fabric, cpu, comp, flows) = fixture(vec![fv(1, 0, 1), fv(3, 0, 2)]);
+        let view = FabricView {
+            now: 0.0,
+            slice: 0.01,
+            fabric: &fabric,
+            cpu: &cpu,
+            compression: &comp,
+            flows,
+        };
+        let mut alloc = Allocation::new();
+        for id in [0, 1, 2, 3, 9] {
+            alloc.set(FlowId(id), FlowCommand::transmit(8.0));
+        }
+        alloc.clamp_to_capacity(&view);
+        for id in [0, 2, 9] {
+            assert_eq!(alloc.get(FlowId(id)).rate, 8.0);
+        }
+        assert_eq!(alloc.get(FlowId(1)).rate, 8.0 * (1.0 / 1.6));
+        assert_eq!(alloc.get(FlowId(3)).rate, 8.0 * (1.0 / 1.6));
+    }
+
+    #[test]
+    fn command_slots_emit_what_was_set_in_id_order() {
+        let flows = vec![fv(2, 0, 1), fv(4, 0, 2), fv(7, 1, 2)];
+        let mut slots = CommandSlots::default();
+        slots.reset(3);
+        // Out of id order, one overwrite, one flow never set.
+        slots.set(2, FlowCommand::compressing());
+        slots.set(0, FlowCommand::transmit(1.0));
+        slots.set(0, FlowCommand::transmit(3.0));
+        assert_eq!(slots.get(0).rate, 3.0);
+        assert_eq!(slots.get(1), FlowCommand::IDLE);
+        let alloc = slots.to_allocation(&flows);
+        let got: Vec<_> = alloc.iter().collect();
+        assert_eq!(
+            got,
+            vec![
+                (FlowId(2), FlowCommand::transmit(3.0)),
+                (FlowId(7), FlowCommand::compressing()),
+            ]
+        );
+        // A reset forgets everything, whatever the new size.
+        slots.reset(2);
+        assert!(slots.to_allocation(&flows[..2]).is_empty());
+    }
+
+    #[test]
+    fn seek_answers_ascending_lookups_in_one_walk() {
+        let items = [FlowId(1), FlowId(4), FlowId(6)];
+        let mut at = 0;
+        let got: Vec<Option<u64>> = [0, 1, 3, 4, 5, 6, 8]
+            .iter()
+            .map(|&id| seek(&items, &mut at, FlowId(id), |&i| i).map(|i| i.0))
+            .collect();
+        assert_eq!(got, vec![None, Some(1), None, Some(4), None, Some(6), None]);
     }
 
     #[test]

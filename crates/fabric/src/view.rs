@@ -139,19 +139,6 @@ impl<'a> FabricView<'a> {
             .map(|i| &self.flows[i])
     }
 
-    /// Distinct active coflow ids, sorted.
-    pub fn coflow_ids(&self) -> Vec<CoflowId> {
-        let mut ids: Vec<CoflowId> = self.flows.iter().map(|f| f.coflow).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Active flows belonging to `coflow`.
-    pub fn coflow_flows(&self, coflow: CoflowId) -> impl Iterator<Item = &FlowView> {
-        self.flows.iter().filter(move |f| f.coflow == coflow)
-    }
-
     /// Free compression cores on `node` right now.
     pub fn free_cores(&self, node: NodeId) -> u32 {
         self.cpu.free_cores(node, self.now)
@@ -172,6 +159,75 @@ impl<'a> FabricView<'a> {
         let r = self.compression.speed();
         let xi = self.compression.ratio(flow.original_size);
         r * (1.0 - xi) > b
+    }
+}
+
+/// One coflow's run inside a [`CoflowGroups`] permutation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoflowSpan {
+    /// The coflow every flow of the run belongs to.
+    pub coflow: CoflowId,
+    start: u32,
+    len: u32,
+}
+
+/// The flows of an id-sorted view grouped by coflow: a permutation of the
+/// positions in `view.flows` ordered by (coflow, flow id), cut into one
+/// [`CoflowSpan`] per distinct coflow in ascending coflow id.
+///
+/// A policy owns one and calls [`CoflowGroups::rebuild`] once per
+/// `allocate`, then walks spans instead of filtering the whole view once per
+/// coflow. Flows inside a span come out in ascending flow id — the order a
+/// filter over the id-sorted view yields — so per-coflow sums and maxima
+/// are evaluated in the same order either way. Buffers are kept across
+/// calls; a rebuild allocates only while the active set outgrows them.
+#[derive(Debug, Clone, Default)]
+pub struct CoflowGroups {
+    perm: Vec<u32>,
+    spans: Vec<CoflowSpan>,
+}
+
+impl CoflowGroups {
+    /// Regroup for `flows`, which must be sorted by flow id. Linear when
+    /// coflow ids are already non-decreasing along `flows` (traces number
+    /// flows coflow by coflow, so this is the usual case); otherwise the
+    /// positions are sorted by (coflow, position), in place.
+    pub fn rebuild(&mut self, flows: &[FlowView]) {
+        self.perm.clear();
+        self.perm.extend(0..flows.len() as u32);
+        if !flows.windows(2).all(|w| w[0].coflow <= w[1].coflow) {
+            self.perm
+                .sort_unstable_by_key(|&i| (flows[i as usize].coflow, i));
+        }
+        self.spans.clear();
+        for (k, &i) in self.perm.iter().enumerate() {
+            let coflow = flows[i as usize].coflow;
+            match self.spans.last_mut() {
+                Some(span) if span.coflow == coflow => span.len += 1,
+                _ => self.spans.push(CoflowSpan {
+                    coflow,
+                    start: k as u32,
+                    len: 1,
+                }),
+            }
+        }
+    }
+
+    /// One span per distinct coflow, in ascending coflow id.
+    pub fn spans(&self) -> &[CoflowSpan] {
+        &self.spans
+    }
+
+    /// One coflow's flows in ascending flow id, each with its position in
+    /// `flows` (the slice this grouping was rebuilt for).
+    pub fn flows<'a>(
+        &'a self,
+        span: &CoflowSpan,
+        flows: &'a [FlowView],
+    ) -> impl Iterator<Item = (usize, &'a FlowView)> + 'a {
+        self.perm[span.start as usize..(span.start + span.len) as usize]
+            .iter()
+            .map(move |&i| (i as usize, &flows[i as usize]))
     }
 }
 
@@ -228,8 +284,56 @@ mod tests {
         );
         assert_eq!(v.flow(FlowId(2)).unwrap().original_size, 3.0);
         assert!(v.flow(FlowId(9)).is_none());
-        assert_eq!(v.coflow_ids(), vec![CoflowId(1), CoflowId(2)]);
-        assert_eq!(v.coflow_flows(CoflowId(1)).count(), 2);
+        let mut groups = CoflowGroups::default();
+        groups.rebuild(&v.flows);
+        let spans = groups.spans();
+        assert_eq!(
+            spans.iter().map(|s| s.coflow).collect::<Vec<_>>(),
+            vec![CoflowId(1), CoflowId(2)]
+        );
+        let positions = |i: usize| -> Vec<usize> {
+            groups.flows(&spans[i], &v.flows).map(|(p, _)| p).collect()
+        };
+        assert_eq!(positions(0), vec![0, 1]);
+        assert_eq!(positions(1), vec![2]);
+    }
+
+    #[test]
+    fn grouping_sorts_interleaved_coflows_and_reuses_its_buffers() {
+        // Flow ids alternate between sparse coflows 40 and 7, with a
+        // single-flow coflow 9 in between.
+        let flows = vec![
+            fv(1, 40, 0, 1, 1.0),
+            fv(2, 7, 0, 1, 1.0),
+            fv(5, 9, 0, 1, 1.0),
+            fv(6, 40, 0, 1, 1.0),
+            fv(8, 7, 0, 1, 1.0),
+        ];
+        let mut groups = CoflowGroups::default();
+        groups.rebuild(&flows);
+        let got: Vec<(u64, Vec<u64>)> = groups
+            .spans()
+            .iter()
+            .map(|s| {
+                let ids = groups.flows(s, &flows).map(|(_, f)| f.id.0).collect();
+                (s.coflow.0, ids)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![(7, vec![2, 8]), (9, vec![5]), (40, vec![1, 6])],
+            "coflows ascend, flow ids ascend inside each"
+        );
+        // A smaller, already grouped view leaves nothing of the old one.
+        groups.rebuild(&flows[1..3]);
+        assert_eq!(groups.spans().len(), 2);
+        let last: Vec<usize> = groups
+            .flows(&groups.spans()[1], &flows[1..3])
+            .map(|(p, _)| p)
+            .collect();
+        assert_eq!(last, vec![1]);
+        groups.rebuild(&[]);
+        assert!(groups.spans().is_empty());
     }
 
     #[test]

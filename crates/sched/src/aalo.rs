@@ -13,9 +13,9 @@
 //! Included as an extra baseline: it bounds what Swallow's *scheduling* half
 //! is worth relative to a scheduler that needs no prior knowledge.
 
-use crate::util::{ordered_backfill_with, Residual};
+use crate::util::OrderedScratch;
 use std::collections::BTreeMap;
-use swallow_fabric::{Allocation, Coflow, CoflowId, FabricView, FlowCommand, FlowId, Policy};
+use swallow_fabric::{Allocation, Coflow, CoflowId, FabricView, FlowCommand, Policy};
 use swallow_trace::{TraceEvent, Tracer};
 
 /// The D-CLAS policy.
@@ -32,13 +32,10 @@ pub struct AaloPolicy {
     /// remaining sizes up front).
     observed_total: BTreeMap<CoflowId, f64>,
     arrivals: BTreeMap<CoflowId, f64>,
-    // Scratch buffers reused across reschedules: per-coflow
-    // (id, remaining, original) aggregation, the (queue, arrival, id)
-    // service order, the backfill flow order, and the residual tracker.
-    agg: Vec<(CoflowId, f64, f64)>,
-    order: Vec<(usize, f64, CoflowId)>,
-    flow_order: Vec<FlowId>,
-    residual: Residual,
+    // Reused across reschedules: the shared ordering scratch and the
+    // (queue, arrival, span index) service order.
+    scratch: OrderedScratch,
+    order: Vec<(usize, f64, u32)>,
     tracer: Tracer,
 }
 
@@ -53,10 +50,8 @@ impl AaloPolicy {
             num_queues: 10,
             observed_total: BTreeMap::new(),
             arrivals: BTreeMap::new(),
-            agg: Vec::new(),
+            scratch: OrderedScratch::default(),
             order: Vec::new(),
-            flow_order: Vec::new(),
-            residual: Residual::empty(),
             tracer: Tracer::disabled(),
         }
     }
@@ -99,66 +94,58 @@ impl Policy for AaloPolicy {
     }
 
     fn allocate(&mut self, view: &FabricView<'_>) -> Allocation {
-        let mut agg = std::mem::take(&mut self.agg);
+        let mut s = std::mem::take(&mut self.scratch);
         let mut order = std::mem::take(&mut self.order);
-        let mut flow_order = std::mem::take(&mut self.flow_order);
 
         // Attained service per coflow: the first time we see a flow fixes
         // its "original" size; attained = observed original − remaining.
         // (The observation is causal: we only ever use bytes already sent.)
-        // Aggregated into a coflow-sorted scratch vector; the sorted-insert
-        // keeps per-coflow sums in flow-id order, so totals are reproducible.
-        agg.clear();
-        for f in &view.flows {
-            match agg.binary_search_by_key(&f.coflow, |&(cid, ..)| cid) {
-                Ok(i) => {
-                    agg[i].1 += f.volume();
-                    agg[i].2 += f.original_size;
-                }
-                Err(i) => agg.insert(i, (f.coflow, f.volume(), f.original_size)),
+        // Per-coflow sums run in ascending flow id, so totals are
+        // reproducible. Order: (queue, arrival, id) — span index order is
+        // coflow id order.
+        s.begin(view);
+        order.clear();
+        for (i, span) in s.groups.spans().iter().enumerate() {
+            let (mut remaining, mut total) = (0.0f64, 0.0f64);
+            for (_, f) in s.groups.flows(span, &view.flows) {
+                remaining += f.volume();
+                total += f.original_size;
             }
-        }
-        for &(cid, _, total) in &agg {
-            let entry = self.observed_total.entry(cid).or_insert(total);
+            let entry = self.observed_total.entry(span.coflow).or_insert(total);
             // New flows of a known coflow can only grow the total.
             *entry = entry.max(total);
-        }
-
-        // Order: (queue, arrival, id).
-        order.clear();
-        for &(cid, remaining, _) in &agg {
-            let attained = (self.observed_total[&cid] - remaining).max(0.0);
+            let attained = (*entry - remaining).max(0.0);
             let q = self.queue_of(attained);
-            let arr = self.arrivals.get(&cid).copied().unwrap_or(0.0);
-            order.push((q, arr, cid));
+            let arr = self.arrivals.get(&span.coflow).copied().unwrap_or(0.0);
+            order.push((q, arr, i as u32));
         }
         order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let spans = s.groups.spans();
         self.tracer.emit(view.now, || TraceEvent::ScheduleOrder {
             policy: "Aalo".to_string(),
-            order: order.iter().map(|&(_, _, cid)| cid.0).collect(),
+            order: order
+                .iter()
+                .map(|&(_, _, i)| spans[i as usize].coflow.0)
+                .collect(),
         });
 
         // Greedy full-rate service in that order (Aalo's intra-queue FIFO
-        // with strict inter-queue priority), then ordered backfill.
-        self.residual.reset(view);
-        let mut alloc = Allocation::with_capacity(view.flows.len());
-        flow_order.clear();
-        for &(_, _, cid) in &order {
-            // `coflow_flows` yields flows in ascending id order (the view is
-            // id-sorted), which is the service order Aalo uses here.
-            for f in view.coflow_flows(cid) {
-                flow_order.push(f.id);
-                let granted = self.residual.take(f.src, f.dst, f64::INFINITY);
+        // with strict inter-queue priority), flows of a coflow in ascending
+        // id, then ordered backfill.
+        for &(_, _, i) in &order {
+            for (pos, f) in s.groups.flows(&spans[i as usize], &view.flows) {
+                s.flow_order.push(pos as u32);
+                let granted = s.residual.take(f.src, f.dst, f64::INFINITY);
                 if granted > 0.0 {
-                    alloc.set(f.id, FlowCommand::transmit(granted));
+                    s.cmds.set(pos, FlowCommand::transmit(granted));
                 }
             }
         }
-        ordered_backfill_with(view, &mut alloc, &flow_order, &mut self.residual);
+        s.backfill(view);
+        let alloc = s.cmds.to_allocation(&view.flows);
 
-        self.agg = agg;
+        self.scratch = s;
         self.order = order;
-        self.flow_order = flow_order;
         alloc
     }
 }

@@ -16,12 +16,12 @@
 //!    minimum required rate `r = V_f / Γ_C` (§IV-A5) and backfilling the
 //!    leftover bandwidth work-conservingly.
 
-use crate::util::{ordered_backfill_with, Residual};
+use crate::util::OrderedScratch;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use swallow_fabric::{
-    Allocation, Coflow, CoflowId, FabricView, FlowCommand, FlowId, NodeId, Policy, TouchedCounters,
+    Allocation, Coflow, CoflowId, FabricView, FlowCommand, NodeId, Policy, TouchedCounters,
     VOLUME_EPS,
 };
 use swallow_metrics::{Phase, Telemetry};
@@ -95,12 +95,10 @@ pub struct FvdfPolicy {
     starved: Vec<CoflowId>,
     // Scratch buffers reused across reschedules so `allocate` performs no
     // steady-state heap allocation beyond the returned `Allocation`.
+    scratch: OrderedScratch,
     cores_used: TouchedCounters,
-    cids: Vec<CoflowId>,
     plan_flows: Vec<FlowPlan>,
     plan_index: Vec<(CoflowId, f64, u32, u32)>,
-    flow_order: Vec<FlowId>,
-    residual: Residual,
     tracer: Tracer,
     /// Engine telemetry handle; when present the water-fill scan feeds the
     /// phase profiler (see [`swallow_metrics::telemetry::Phase::WaterFill`]).
@@ -123,12 +121,10 @@ impl FvdfPolicy {
             config,
             priority: BTreeMap::new(),
             starved: Vec::new(),
+            scratch: OrderedScratch::default(),
             cores_used: TouchedCounters::default(),
-            cids: Vec::new(),
             plan_flows: Vec::new(),
             plan_index: Vec::new(),
-            flow_order: Vec::new(),
-            residual: Residual::empty(),
             tracer: Tracer::disabled(),
             telemetry: None,
             deadlines: BTreeMap::new(),
@@ -183,7 +179,8 @@ impl Default for FvdfPolicy {
 /// Per-flow decision computed during `TimeCalculation`.
 #[derive(Debug, Clone)]
 struct FlowPlan {
-    id: FlowId,
+    /// Position in `view.flows`.
+    pos: u32,
     src: NodeId,
     dst: NodeId,
     volume: f64,
@@ -230,34 +227,28 @@ impl Policy for FvdfPolicy {
         // Detach the scratch buffers from `self` so the priority lookups
         // below can still borrow the policy; they are restored before
         // returning, carrying their capacity to the next reschedule.
+        let mut s = std::mem::take(&mut self.scratch);
         let mut cores_used = std::mem::take(&mut self.cores_used);
-        let mut cids = std::mem::take(&mut self.cids);
         let mut plan_flows = std::mem::take(&mut self.plan_flows);
         let mut plan_index = std::mem::take(&mut self.plan_index);
-        let mut flow_order = std::mem::take(&mut self.flow_order);
-        let mut residual = std::mem::replace(&mut self.residual, Residual::empty());
 
         // Track CPU cores committed to compression per sender while making
         // the β decisions, so "CPU resources are enough" (Pseudocode 1,
         // line 4) accounts for flows already granted a core this round.
         cores_used.reset(view.fabric.num_nodes());
 
-        // Distinct active coflows, ascending — same order `coflow_ids()`
-        // produces, without the per-call vector.
-        cids.clear();
-        cids.extend(view.flows.iter().map(|f| f.coflow));
-        cids.sort_unstable();
-        cids.dedup();
-
-        // TimeCalculation per coflow (Pseudocode 2, lines 12–23). Plans are
+        // TimeCalculation per coflow (Pseudocode 2, lines 12–23), coflows in
+        // ascending id and each coflow's flows in ascending id. Plans are
         // flattened: `plan_flows` holds every coflow's flows contiguously and
         // `plan_index` records `(coflow, Γ, start, len)` slices into it.
+        s.begin(view);
         plan_flows.clear();
         plan_index.clear();
-        for &cid in &cids {
+        for span in s.groups.spans() {
+            let cid = span.coflow;
             let mut gamma_c = 0.0f64;
             let start = plan_flows.len() as u32;
-            for f in view.coflow_flows(cid) {
+            for (pos, f) in s.groups.flows(span, &view.flows) {
                 let b = view.min_port_cap(f);
                 let xi = view.compression.ratio(f.original_size);
                 // CompressionStrategy (Pseudocode 1).
@@ -284,7 +275,7 @@ impl Policy for FvdfPolicy {
                 let gamma_f = delta + (v - disposal).max(0.0) / b;
                 gamma_c = gamma_c.max(gamma_f);
                 plan_flows.push(FlowPlan {
-                    id: f.id,
+                    pos: pos as u32,
                     src: f.src,
                     dst: f.dst,
                     volume: v,
@@ -339,56 +330,48 @@ impl Policy for FvdfPolicy {
             .as_deref()
             .is_some_and(|t| t.is_active())
             .then(Instant::now);
-        residual.reset(view);
-        let mut alloc = Allocation::with_capacity(view.flows.len());
-        flow_order.clear();
-        for &(_cid, adjusted_gamma, start, len) in plan_index.iter() {
+        // A coflow counts as starved when the primary pass gave none of its
+        // flows a rate or a compression slot; `Upgrade` will raise it.
+        self.starved.clear();
+        for &(cid, adjusted_gamma, start, len) in plan_index.iter() {
             // `r = f.V / C.Γ_C` uses the coflow's *unadjusted* completion
             // target; with aging we keep the adjusted value as the target so
             // long-starved coflows also get faster rates once scheduled.
             let gamma = adjusted_gamma.max(delta);
+            let mut served = false;
             for f in &plan_flows[start as usize..(start + len) as usize] {
                 if f.beta {
-                    alloc.set(f.id, FlowCommand::compressing());
+                    s.cmds.set(f.pos as usize, FlowCommand::compressing());
+                    served = true;
                 } else {
-                    flow_order.push(f.id);
+                    s.flow_order.push(f.pos);
                     let want = f.volume / gamma;
-                    let granted = residual.take(f.src, f.dst, want);
+                    let granted = s.residual.take(f.src, f.dst, want);
                     if granted > 0.0 {
-                        alloc.set(f.id, FlowCommand::transmit(granted));
+                        s.cmds.set(f.pos as usize, FlowCommand::transmit(granted));
+                        served = true;
                     }
                 }
             }
+            if !served {
+                self.starved.push(cid);
+            }
         }
-        // A coflow counts as starved when the primary pass gave none of its
-        // flows a rate or a compression slot; `Upgrade` will raise it.
-        self.starved.clear();
-        self.starved.extend(
-            plan_index
-                .iter()
-                .filter(|&&(_, _, start, len)| {
-                    plan_flows[start as usize..(start + len) as usize]
-                        .iter()
-                        .all(|f| !f.beta && alloc.get(f.id).rate <= 0.0)
-                })
-                .map(|&(cid, ..)| cid),
-        );
         if self.config.backfill {
             // Leftover bandwidth flows to coflows in priority order (the
             // Varys backfilling rule), keeping the allocation work-
             // conserving without inverting the Γ order.
-            ordered_backfill_with(view, &mut alloc, &flow_order, &mut residual);
+            s.backfill(view);
         }
+        let alloc = s.cmds.to_allocation(&view.flows);
         if let (Some(t), Some(s)) = (self.telemetry.as_deref(), wf_started) {
             t.record_phase(Phase::WaterFill, s.elapsed());
         }
 
+        self.scratch = s;
         self.cores_used = cores_used;
-        self.cids = cids;
         self.plan_flows = plan_flows;
         self.plan_index = plan_index;
-        self.flow_order = flow_order;
-        self.residual = residual;
         alloc
     }
 }

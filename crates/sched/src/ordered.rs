@@ -14,11 +14,11 @@
 //! * **EDF/DCoflow** — earliest absolute deadline first (DCoflow's ordering
 //!   rule; deadline-less coflows sort last, after every deadline coflow).
 
-use crate::util::{madd_rates, ordered_backfill_with, Residual};
+use crate::util::{madd_gamma, OrderedScratch};
 use std::collections::BTreeMap;
-use swallow_fabric::{
-    Allocation, Coflow, CoflowId, FabricView, FlowCommand, FlowId, NodeId, Policy,
-};
+use swallow_fabric::alloc::PortScratch;
+use swallow_fabric::view::{CoflowGroups, CoflowSpan};
+use swallow_fabric::{Allocation, Coflow, CoflowId, FabricView, FlowCommand, NodeId, Policy};
 use swallow_trace::{TraceEvent, Tracer};
 
 /// How a scheduled coflow's flows receive bandwidth.
@@ -76,12 +76,13 @@ pub struct OrderedPolicy {
     exclusive: bool,
     // Scratch buffers reused across reschedules; ordering keys are computed
     // once per coflow per allocation rather than inside the sort comparator.
-    keyed: Vec<(f64, CoflowId)>,
-    flows_scratch: Vec<(FlowId, NodeId, NodeId, f64)>,
-    flow_order: Vec<FlowId>,
-    node_e: Vec<f64>,
-    node_i: Vec<f64>,
-    residual: Residual,
+    scratch: OrderedScratch,
+    /// `(key, index into the grouping's spans)`; span index order is coflow
+    /// id order.
+    keyed: Vec<(f64, u32)>,
+    /// One coflow's `(position in view.flows, src, dst, volume)`.
+    flows_scratch: Vec<(u32, NodeId, NodeId, f64)>,
+    ports: PortScratch,
     tracer: Tracer,
     /// Absolute deadlines learned in `on_arrival` — the views the engine
     /// hands `allocate` carry no deadline, so EDF keeps its own map.
@@ -95,12 +96,10 @@ impl OrderedPolicy {
             order,
             discipline: RateDiscipline::Madd,
             exclusive: false,
+            scratch: OrderedScratch::default(),
             keyed: Vec::new(),
             flows_scratch: Vec::new(),
-            flow_order: Vec::new(),
-            node_e: Vec::new(),
-            node_i: Vec::new(),
-            residual: Residual::empty(),
+            ports: PortScratch::default(),
             tracer: Tracer::disabled(),
             deadlines: BTreeMap::new(),
         }
@@ -140,61 +139,48 @@ impl OrderedPolicy {
         self
     }
 
-    fn key(&mut self, view: &FabricView<'_>, coflow: CoflowId) -> f64 {
+    fn key(&mut self, view: &FabricView<'_>, groups: &CoflowGroups, span: &CoflowSpan) -> f64 {
+        let flows = || groups.flows(span, &view.flows).map(|(_, f)| f);
         match self.order {
             CoflowOrder::Sebf => {
                 // Effective bottleneck on the *full* port capacity, using
                 // remaining volumes (Varys recomputes Γ as flows progress).
-                let n = view.fabric.num_nodes();
-                self.node_e.clear();
-                self.node_e.resize(n, 0.0);
-                self.node_i.clear();
-                self.node_i.resize(n, 0.0);
-                for f in view.coflow_flows(coflow) {
-                    self.node_e[f.src.index()] += f.volume();
-                    self.node_i[f.dst.index()] += f.volume();
+                // Every loaded port is an endpoint of one of the flows.
+                self.ports.reset(view.fabric.num_nodes());
+                for f in flows() {
+                    self.ports.add(f.src.index(), f.dst.index(), f.volume());
                 }
                 let mut bottleneck = 0.0f64;
-                for (idx, v) in self.node_e.iter().enumerate() {
-                    if *v > 0.0 {
-                        bottleneck = bottleneck.max(v / view.fabric.egress_cap(NodeId(idx as u32)));
+                for f in flows() {
+                    let e = self.ports.egress_at(f.src.index());
+                    if e > 0.0 {
+                        bottleneck = bottleneck.max(e / view.fabric.egress_cap(f.src));
                     }
-                }
-                for (idx, v) in self.node_i.iter().enumerate() {
-                    if *v > 0.0 {
-                        bottleneck =
-                            bottleneck.max(v / view.fabric.ingress_cap(NodeId(idx as u32)));
+                    let i = self.ports.ingress_at(f.dst.index());
+                    if i > 0.0 {
+                        bottleneck = bottleneck.max(i / view.fabric.ingress_cap(f.dst));
                     }
                 }
                 bottleneck
             }
-            CoflowOrder::Fifo => view
-                .coflow_flows(coflow)
-                .map(|f| f.arrival)
-                .fold(f64::INFINITY, f64::min),
-            CoflowOrder::Scf => view.coflow_flows(coflow).map(|f| f.volume()).sum(),
+            CoflowOrder::Fifo => flows().map(|f| f.arrival).fold(f64::INFINITY, f64::min),
+            CoflowOrder::Scf => flows().map(|f| f.volume()).sum(),
             CoflowOrder::Ncf => {
-                // Distinct touched ports via dense marker vectors.
-                let n = view.fabric.num_nodes();
-                self.node_e.clear();
-                self.node_e.resize(n, 0.0);
-                self.node_i.clear();
-                self.node_i.resize(n, 0.0);
-                for f in view.coflow_flows(coflow) {
-                    self.node_e[f.src.index()] = 1.0;
-                    self.node_i[f.dst.index()] = 1.0;
+                // Distinct senders and receivers: a flow counts when it is
+                // the first to load its port.
+                self.ports.reset(view.fabric.num_nodes());
+                let (mut srcs, mut dsts) = (0usize, 0usize);
+                for f in flows() {
+                    srcs += (self.ports.egress_at(f.src.index()) == 0.0) as usize;
+                    dsts += (self.ports.ingress_at(f.dst.index()) == 0.0) as usize;
+                    self.ports.add(f.src.index(), f.dst.index(), 1.0);
                 }
-                let srcs = self.node_e.iter().filter(|&&m| m > 0.0).count();
-                let dsts = self.node_i.iter().filter(|&&m| m > 0.0).count();
                 srcs.max(dsts) as f64
             }
-            CoflowOrder::Lcf => view
-                .coflow_flows(coflow)
-                .map(|f| f.volume())
-                .fold(0.0, f64::max),
+            CoflowOrder::Lcf => flows().map(|f| f.volume()).fold(0.0, f64::max),
             CoflowOrder::Edf => self
                 .deadlines
-                .get(&coflow)
+                .get(&span.coflow)
                 .copied()
                 .unwrap_or(f64::INFINITY),
         }
@@ -225,51 +211,58 @@ impl Policy for OrderedPolicy {
         // re-derive it inside the comparator, an O(k log k) blow-up with a
         // full per-call map build for SEBF), then sort the cached pairs.
         // Ties are broken by coflow id for determinism.
+        let mut s = std::mem::take(&mut self.scratch);
         let mut keyed = std::mem::take(&mut self.keyed);
+        s.begin(view);
         keyed.clear();
-        for cid in view.coflow_ids() {
-            let k = self.key(view, cid);
-            keyed.push((k, cid));
+        for (i, span) in s.groups.spans().iter().enumerate() {
+            let k = self.key(view, &s.groups, span);
+            keyed.push((k, i as u32));
         }
         keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let spans = s.groups.spans();
         self.tracer.emit(view.now, || TraceEvent::ScheduleOrder {
             policy: self.order.name().to_string(),
-            order: keyed.iter().map(|&(_, cid)| cid.0).collect(),
+            order: keyed
+                .iter()
+                .map(|&(_, i)| spans[i as usize].coflow.0)
+                .collect(),
         });
 
-        let mut flows = std::mem::take(&mut self.flows_scratch);
-        let mut flow_order = std::mem::take(&mut self.flow_order);
-        self.residual.reset(view);
-        let mut alloc = Allocation::with_capacity(view.flows.len());
         // Flows in coflow-priority order, shortest first within a coflow —
-        // the order used for both greedy allocation and backfill.
-        flow_order.clear();
-        for &(_, cid) in &keyed {
+        // the order used for both greedy allocation and backfill. Positions
+        // ascend with flow id, so they break volume ties the way ids would.
+        let mut flows = std::mem::take(&mut self.flows_scratch);
+        for &(_, i) in &keyed {
             flows.clear();
             flows.extend(
-                view.coflow_flows(cid)
-                    .map(|f| (f.id, f.src, f.dst, f.volume())),
+                s.groups
+                    .flows(&spans[i as usize], &view.flows)
+                    .map(|(pos, f)| (pos as u32, f.src, f.dst, f.volume())),
             );
             flows.sort_unstable_by(|a, b| a.3.total_cmp(&b.3).then(a.0.cmp(&b.0)));
-            flow_order.extend(flows.iter().map(|f| f.0));
+            s.flow_order.extend(flows.iter().map(|f| f.0));
             match self.discipline {
                 RateDiscipline::Madd => {
-                    let (rates, gamma) = madd_rates(&self.residual, &flows);
+                    let gamma = madd_gamma(&s.residual, &flows, &mut self.ports);
                     if !gamma.is_finite() {
                         continue; // blocked behind higher-priority coflows
                     }
-                    for ((id, rate), (_, src, dst, _)) in rates.iter().zip(flows.iter()) {
-                        let granted = self.residual.take(*src, *dst, *rate);
-                        if granted > 0.0 {
-                            alloc.set(*id, FlowCommand::transmit(granted));
+                    // Γ = 0 only when every volume is 0: nothing to grant.
+                    if gamma > 0.0 {
+                        for &(pos, src, dst, volume) in &flows {
+                            let granted = s.residual.take(src, dst, volume / gamma);
+                            if granted > 0.0 {
+                                s.cmds.set(pos as usize, FlowCommand::transmit(granted));
+                            }
                         }
                     }
                 }
                 RateDiscipline::Greedy => {
-                    for (id, src, dst, _) in &flows {
-                        let granted = self.residual.take(*src, *dst, f64::INFINITY);
+                    for &(pos, src, dst, _) in &flows {
+                        let granted = s.residual.take(src, dst, f64::INFINITY);
                         if granted > 0.0 {
-                            alloc.set(*id, FlowCommand::transmit(granted));
+                            s.cmds.set(pos as usize, FlowCommand::transmit(granted));
                         }
                     }
                 }
@@ -279,11 +272,12 @@ impl Policy for OrderedPolicy {
             }
         }
         if !self.exclusive {
-            ordered_backfill_with(view, &mut alloc, &flow_order, &mut self.residual);
+            s.backfill(view);
         }
+        let alloc = s.cmds.to_allocation(&view.flows);
+        self.scratch = s;
         self.keyed = keyed;
         self.flows_scratch = flows;
-        self.flow_order = flow_order;
         alloc
     }
 }

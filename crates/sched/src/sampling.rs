@@ -32,6 +32,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use swallow_fabric::view::CoflowGroups;
 use swallow_fabric::{
     Allocation, Coflow, CoflowId, FabricView, FlowId, FlowView, Policy, VOLUME_EPS,
 };
@@ -304,6 +305,8 @@ pub struct SampledPolicy {
     telemetry: Option<Arc<Telemetry>>,
     /// Rewritten-view buffer reused across allocations.
     scratch: Vec<FlowView>,
+    /// Coflow grouping of the view, for the starvation guard's scan.
+    groups: CoflowGroups,
 }
 
 impl SampledPolicy {
@@ -317,6 +320,7 @@ impl SampledPolicy {
             tracer: Tracer::disabled(),
             telemetry: None,
             scratch: Vec::new(),
+            groups: CoflowGroups::default(),
         }
     }
 
@@ -450,13 +454,21 @@ impl Policy for SampledPolicy {
         // `pilot_fraction = 1.0` bit-identical to the inner policy.
         let patience = self.estimator.config.patience.max(1);
         let logbase = self.estimator.config.logbase;
+        // Tracked coflows and spans both ascend in coflow id: walk them in
+        // step. A tracked coflow with no flow in the view was not served.
+        self.groups.rebuild(&view.flows);
+        let mut spans = self.groups.spans().iter().peekable();
         for (&cid, ce) in self.estimator.coflows.iter_mut() {
+            while spans.next_if(|s| s.coflow < cid).is_some() {}
+            let span = spans.next_if(|s| s.coflow == cid);
             if ce.unknown == 0 && ce.boost <= 1.0 {
                 continue;
             }
-            let served = view.coflow_flows(cid).any(|f| {
-                let cmd = alloc.get(f.id);
-                cmd.compress || cmd.rate > 0.0
+            let served = span.is_some_and(|span| {
+                self.groups.flows(span, &view.flows).any(|(_, f)| {
+                    let cmd = alloc.get(f.id);
+                    cmd.compress || cmd.rate > 0.0
+                })
             });
             if served {
                 ce.starved_rounds = 0;

@@ -2,6 +2,8 @@
 //! water-filling, and the work-conserving backfill pass.
 
 use std::collections::BTreeMap;
+use swallow_fabric::alloc::{CommandSlots, PortScratch};
+use swallow_fabric::view::CoflowGroups;
 use swallow_fabric::{Allocation, FabricView, FlowCommand, FlowId, NodeId};
 
 /// Residual egress/ingress capacity during an allocation pass.
@@ -13,7 +15,7 @@ use swallow_fabric::{Allocation, FabricView, FlowCommand, FlowId, NodeId};
 /// same fabric whenever the node count is unchanged (true for every in-tree
 /// caller: a policy holds one `Residual` and an engine run has one fabric);
 /// a changed node count forces a full rebuild.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Residual {
     egress: Vec<f64>,
     ingress: Vec<f64>,
@@ -23,20 +25,9 @@ pub struct Residual {
 impl Residual {
     /// Start from the full port capacities of the fabric in `view`.
     pub fn new(view: &FabricView<'_>) -> Self {
-        let mut r = Self::empty();
+        let mut r = Self::default();
         r.reset(view);
         r
-    }
-
-    /// An empty residual with no ports; fill it with [`Residual::reset`].
-    /// Lets policies keep one `Residual` across reschedules instead of
-    /// allocating a fresh pair of vectors every call.
-    pub fn empty() -> Self {
-        Self {
-            egress: Vec::new(),
-            ingress: Vec::new(),
-            touched: Vec::new(),
-        }
     }
 
     /// Refill from the full port capacities of the fabric in `view`. When
@@ -220,41 +211,57 @@ pub fn water_fill_weighted_rounds(
     (out, rounds)
 }
 
-/// Priority-ordered backfill: walk flows in the given order and grant each
-/// non-compressing flow the full remaining capacity of its path. This is the
-/// Varys backfilling rule — leftover bandwidth goes to the *next coflow in
-/// the priority order*, not to an arbitrary fair share.
-pub fn ordered_backfill(view: &FabricView<'_>, alloc: &mut Allocation, order: &[FlowId]) {
-    let mut residual = Residual::new(view);
-    ordered_backfill_with(view, alloc, order, &mut residual);
+/// What a coflow-ordering policy (FVDF, the `OrderedPolicy` family, Aalo)
+/// keeps between `allocate` calls: the view grouped by coflow, the commands
+/// it is building by position in `view.flows`, the positions of the flows in
+/// the order it served them, and the residual capacity ledger.
+#[derive(Debug, Clone, Default)]
+pub struct OrderedScratch {
+    /// The view's flows grouped by coflow.
+    pub groups: CoflowGroups,
+    /// Commands so far, by position in `view.flows`.
+    pub cmds: CommandSlots,
+    /// Positions of the non-compressing flows, in service order.
+    pub flow_order: Vec<u32>,
+    /// Capacity the commands so far leave on every port.
+    pub residual: Residual,
 }
 
-/// [`ordered_backfill`] against a caller-provided scratch [`Residual`],
-/// letting hot policies avoid the per-reschedule vector allocations. The
-/// residual is reset from `view` on entry.
-pub fn ordered_backfill_with(
-    view: &FabricView<'_>,
-    alloc: &mut Allocation,
-    order: &[FlowId],
-    residual: &mut Residual,
-) {
-    residual.reset(view);
-    for (id, cmd) in alloc.iter() {
-        if !cmd.compress && cmd.rate > 0.0 {
-            if let Some(f) = view.flow(id) {
-                residual.take(f.src, f.dst, cmd.rate);
+impl OrderedScratch {
+    /// Start an `allocate` on `view`: group it, forget the last call's
+    /// commands and service order, and restore full port capacities.
+    pub fn begin(&mut self, view: &FabricView<'_>) {
+        self.groups.rebuild(&view.flows);
+        self.cmds.reset(view.flows.len());
+        self.flow_order.clear();
+        self.residual.reset(view);
+    }
+
+    /// Priority-ordered backfill: walk `flow_order` and grant each
+    /// non-compressing flow the full remaining capacity of its path. This is
+    /// the Varys backfilling rule — leftover bandwidth goes to the *next
+    /// coflow in the priority order*, not to an arbitrary fair share. The
+    /// residual is rebuilt first, charged with the primary rates in
+    /// ascending flow id.
+    pub fn backfill(&mut self, view: &FabricView<'_>) {
+        self.residual.reset(view);
+        for (pos, f) in view.flows.iter().enumerate() {
+            let cmd = self.cmds.get(pos);
+            if !cmd.compress && cmd.rate > 0.0 {
+                self.residual.take(f.src, f.dst, cmd.rate);
             }
         }
-    }
-    for id in order {
-        let cmd = alloc.get(*id);
-        if cmd.compress {
-            continue;
-        }
-        let Some(f) = view.flow(*id) else { continue };
-        let extra = residual.take(f.src, f.dst, f64::INFINITY);
-        if extra > 0.0 {
-            alloc.set(*id, FlowCommand::transmit(cmd.rate + extra));
+        for &pos in &self.flow_order {
+            let pos = pos as usize;
+            let cmd = self.cmds.get(pos);
+            if cmd.compress {
+                continue;
+            }
+            let f = &view.flows[pos];
+            let extra = self.residual.take(f.src, f.dst, f64::INFINITY);
+            if extra > 0.0 {
+                self.cmds.set(pos, FlowCommand::transmit(cmd.rate + extra));
+            }
         }
     }
 }
@@ -287,37 +294,32 @@ pub fn backfill(view: &FabricView<'_>, alloc: &mut Allocation) {
     }
 }
 
-/// Remaining-volume-weighted MADD rates for one coflow on the residual
-/// capacity: the smallest per-flow rates that finish every flow at the
-/// coflow's residual bottleneck time Γ. Returns `(rates, gamma)`; `gamma` is
-/// `f64::INFINITY` when some needed port has no residual capacity.
-pub fn madd_rates(
+/// The residual bottleneck time Γ of one coflow: the largest, over the ports
+/// it uses, of its remaining volume there over the residual capacity. Its
+/// MADD rates — the smallest per-flow rates that finish every flow together
+/// at Γ — are `volume / Γ`. Γ is `f64::INFINITY` when some needed port has
+/// no residual capacity, and 0 when there is nothing left to send.
+///
+/// `flows` are `(tag, src, dst, volume)`; per-port volumes are summed in
+/// slice order into `ports`, which only has to outlive the call.
+pub fn madd_gamma<T>(
     residual: &Residual,
-    flows: &[(FlowId, NodeId, NodeId, f64)],
-) -> (Vec<(FlowId, f64)>, f64) {
-    // Per-port load of this coflow.
-    let mut e_load: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut i_load: BTreeMap<NodeId, f64> = BTreeMap::new();
+    flows: &[(T, NodeId, NodeId, f64)],
+    ports: &mut PortScratch,
+) -> f64 {
+    ports.reset(residual.num_nodes());
     for &(_, s, d, v) in flows {
-        *e_load.entry(s).or_default() += v;
-        *i_load.entry(d).or_default() += v;
+        ports.add(s.index(), d.index(), v);
     }
-    let mut gamma: f64 = 0.0;
-    for (n, load) in &e_load {
-        let cap = residual.egress(*n);
-        gamma = gamma.max(if cap > 0.0 { load / cap } else { f64::INFINITY });
-    }
-    for (n, load) in &i_load {
-        let cap = residual.ingress(*n);
-        gamma = gamma.max(if cap > 0.0 { load / cap } else { f64::INFINITY });
-    }
-    if !gamma.is_finite() || gamma <= 0.0 {
-        return (flows.iter().map(|&(f, ..)| (f, 0.0)).collect(), gamma);
-    }
-    (
-        flows.iter().map(|&(f, _, _, v)| (f, v / gamma)).collect(),
-        gamma,
-    )
+    // Every loaded port is some flow's endpoint, so folding over the flows
+    // covers them all (a repeated port repeats its term, which a maximum
+    // does not see).
+    let over = |load: f64, cap: f64| if cap > 0.0 { load / cap } else { f64::INFINITY };
+    flows.iter().fold(0.0f64, |gamma, &(_, s, d, _)| {
+        gamma
+            .max(over(ports.egress_at(s.index()), residual.egress(s)))
+            .max(over(ports.ingress_at(d.index()), residual.ingress(d)))
+    })
 }
 
 #[cfg(test)]
@@ -482,23 +484,23 @@ mod tests {
     }
 
     #[test]
-    fn madd_rates_finish_together() {
+    fn madd_gamma_is_the_residual_bottleneck() {
         let fx = Fixture::new(3, 10.0);
         let view = fx.view(vec![]);
         let r = Residual::new(&view);
+        let mut ports = PortScratch::default();
         // Coflow: 40 bytes 0→1, 20 bytes 0→2. Egress 0 carries 60 bytes at
-        // cap 10 → Γ = 6 s; rates 40/6 and 20/6.
-        let (rates, gamma) = madd_rates(
-            &r,
-            &[
-                (FlowId(1), NodeId(0), NodeId(1), 40.0),
-                (FlowId(2), NodeId(0), NodeId(2), 20.0),
-            ],
-        );
-        assert!((gamma - 6.0).abs() < 1e-9);
-        let m: BTreeMap<_, _> = rates.into_iter().collect();
-        assert!((m[&FlowId(1)] - 40.0 / 6.0).abs() < 1e-9);
-        assert!((m[&FlowId(2)] - 20.0 / 6.0).abs() < 1e-9);
+        // cap 10 → Γ = 6 s.
+        let flows = [
+            (FlowId(1), NodeId(0), NodeId(1), 40.0),
+            (FlowId(2), NodeId(0), NodeId(2), 20.0),
+        ];
+        assert!((madd_gamma(&r, &flows, &mut ports) - 6.0).abs() < 1e-9);
+        // The scratch is reset per call: a second coflow sees none of it.
+        let gamma = madd_gamma(&r, &[(FlowId(3), NodeId(0), NodeId(1), 5.0)], &mut ports);
+        assert!((gamma - 0.5).abs() < 1e-9);
+        // Nothing to send → Γ = 0.
+        assert_eq!(madd_gamma::<FlowId>(&r, &[], &mut ports), 0.0);
     }
 
     #[test]
@@ -507,9 +509,26 @@ mod tests {
         let view = fx.view(vec![]);
         let mut r = Residual::new(&view);
         r.take(NodeId(0), NodeId(1), 10.0);
-        let (rates, gamma) = madd_rates(&r, &[(FlowId(1), NodeId(0), NodeId(1), 5.0)]);
+        let mut ports = PortScratch::default();
+        let gamma = madd_gamma(&r, &[(FlowId(1), NodeId(0), NodeId(1), 5.0)], &mut ports);
         assert!(gamma.is_infinite());
-        assert_eq!(rates[0].1, 0.0);
+    }
+
+    #[test]
+    fn ordered_backfill_grants_leftover_in_the_given_order() {
+        let fx = Fixture::new(3, 10.0);
+        // Both flows leave node 0; the primary pass gave flow 2 a rate of 4.
+        let view = fx.view(vec![fv(1, 1, 0, 1, 100.0), fv(2, 2, 0, 2, 50.0)]);
+        let mut s = OrderedScratch::default();
+        s.begin(&view);
+        assert_eq!(s.groups.spans().len(), 2);
+        s.cmds.set(1, FlowCommand::transmit(4.0));
+        // Flow 2 (position 1) is first in the order, so it takes the 6 left.
+        s.flow_order.extend([1, 0]);
+        s.backfill(&view);
+        let alloc = s.cmds.to_allocation(&view.flows);
+        assert_eq!(alloc.get(FlowId(2)).rate, 10.0);
+        assert_eq!(alloc.len(), 1, "flow 1 got nothing and stays unset");
     }
 
     #[test]

@@ -11,12 +11,16 @@
 
 use std::collections::BTreeMap;
 use swallow_repro::fabric::alloc::water_fill;
-use swallow_repro::fabric::view::FabricView;
+use swallow_repro::fabric::view::{CoflowGroups, FabricView};
 use swallow_repro::fabric::{Allocation, FlowCommand, NodeId};
 use swallow_repro::prelude::*;
 
 /// Earliest-virtual-deadline-first coflow scheduler.
-struct DeadlineLite;
+#[derive(Default)]
+struct DeadlineLite {
+    /// The view's flows grouped by coflow; kept so its buffers are reused.
+    groups: CoflowGroups,
+}
 
 impl Policy for DeadlineLite {
     fn name(&self) -> &str {
@@ -24,15 +28,20 @@ impl Policy for DeadlineLite {
     }
 
     fn allocate(&mut self, view: &FabricView<'_>) -> Allocation {
+        // Group the view by coflow once; every per-coflow pass below walks
+        // one span instead of filtering all active flows.
+        self.groups.rebuild(&view.flows);
+        let groups = &self.groups;
+
         // Virtual deadline per coflow: arrival + 2 × isolation bottleneck.
-        let mut deadlines: Vec<(f64, swallow_repro::fabric::CoflowId)> = view
-            .coflow_ids()
-            .into_iter()
-            .map(|cid| {
+        let mut deadlines: Vec<_> = groups
+            .spans()
+            .iter()
+            .map(|span| {
                 let mut egress: BTreeMap<NodeId, f64> = BTreeMap::new();
                 let mut ingress: BTreeMap<NodeId, f64> = BTreeMap::new();
                 let mut arrival = f64::INFINITY;
-                for f in view.coflow_flows(cid) {
+                for (_, f) in groups.flows(span, &view.flows) {
                     *egress.entry(f.src).or_default() += f.volume();
                     *ingress.entry(f.dst).or_default() += f.volume();
                     arrival = arrival.min(f.arrival);
@@ -42,10 +51,10 @@ impl Policy for DeadlineLite {
                     .map(|(n, v)| v / view.fabric.egress_cap(*n))
                     .chain(ingress.iter().map(|(n, v)| v / view.fabric.ingress_cap(*n)))
                     .fold(0.0, f64::max);
-                (arrival + 2.0 * bottleneck, cid)
+                (arrival + 2.0 * bottleneck, span)
             })
             .collect();
-        deadlines.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        deadlines.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.coflow.cmp(&b.1.coflow)));
 
         // Greedy full-rate service in deadline order, then fair backfill.
         let mut alloc = Allocation::new();
@@ -59,8 +68,8 @@ impl Policy for DeadlineLite {
                 .entry(f.dst)
                 .or_insert_with(|| view.fabric.ingress_cap(f.dst));
         }
-        for (_, cid) in &deadlines {
-            for f in view.coflow_flows(*cid) {
+        for (_, span) in &deadlines {
+            for (_, f) in groups.flows(span, &view.flows) {
                 let rate = egress_left[&f.src].min(ingress_left[&f.dst]);
                 if rate > 0.0 {
                     *egress_left.get_mut(&f.src).unwrap() -= rate;
@@ -127,7 +136,7 @@ fn main() {
             units::human_secs(res.avg_cct()),
         ]);
     };
-    run(&mut DeadlineLite);
+    run(&mut DeadlineLite::default());
     run(&mut FvdfPolicy::without_compression());
     run(&mut OrderedPolicy::sebf());
     println!("{t}");

@@ -11,6 +11,11 @@
 //! single allocation (or syscall-driven buffer) per boundary would break
 //! the coarse-vs-fine equality below.
 //!
+//! The second half of the test pins the policies' own scratch reuse: once
+//! warm, one `allocate` of FVDF or SEBF performs exactly one heap allocation
+//! — the `Allocation` it returns — whether the view's coflows are already
+//! grouped or interleave (the grouping's sort path).
+//!
 //! This file is its own integration-test binary so the `#[global_allocator]`
 //! hook cannot interfere with any other test, and it contains a single test
 //! function so no concurrent test pollutes the counter.
@@ -18,6 +23,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use swallow_repro::fabric::engine::Reschedule;
+use swallow_repro::fabric::view::{FabricView, FlowView};
+use swallow_repro::fabric::{CoflowId, FlowId, NodeId};
 use swallow_repro::prelude::*;
 
 struct CountingAlloc;
@@ -90,6 +97,52 @@ fn replay(slice: f64) -> SimResult {
     .run(policy.as_mut())
 }
 
+/// 48 flows over 12 coflows on 8 ports; `interleaved` deals flow ids round
+/// robin across coflows, otherwise coflow by coflow.
+fn contended_flows(interleaved: bool) -> Vec<FlowView> {
+    (0..48u64)
+        .map(|i| {
+            let coflow = if interleaved { i % 12 } else { i / 4 };
+            FlowView {
+                id: FlowId(i),
+                coflow: CoflowId(coflow),
+                src: NodeId((i % 8) as u32),
+                dst: NodeId(((i * 3 + 1) % 8) as u32),
+                original_size: (1 + i % 7) as f64 * units::MB,
+                raw: (1 + i % 7) as f64 * units::MB,
+                compressed: 0.0,
+                arrival: coflow as f64,
+                compressible: i % 5 != 0,
+            }
+        })
+        .collect()
+}
+
+/// Heap allocations of `calls` warm `allocate` calls on one view.
+fn allocations_of_warm_allocate(alg: Algorithm, interleaved: bool, calls: u64) -> u64 {
+    let fabric = Fabric::uniform(8, units::mbps(100.0));
+    let cpu = CpuModel::unconstrained(8, 2);
+    let comp = ProfiledCompression::constant(Table2::Lz4);
+    let view = FabricView {
+        now: 0.0,
+        slice: 0.01,
+        fabric: &fabric,
+        cpu: &cpu,
+        compression: &comp,
+        flows: contended_flows(interleaved),
+    };
+    let mut policy = alg.make();
+    // Grow every scratch buffer to this view's size.
+    for _ in 0..2 {
+        assert!(!policy.allocate(&view).is_empty());
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..calls {
+        std::hint::black_box(policy.allocate(std::hint::black_box(&view)));
+    }
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn steady_state_slice_loop_does_not_allocate() {
     // Warm-up: fault in lazily-initialized runtime structures (thread-local
@@ -112,4 +165,16 @@ fn steady_state_slice_loop_does_not_allocate() {
         coarse_allocs, fine_allocs,
         "slice loop allocated: {coarse_allocs} allocs at δ=10 ms vs {fine_allocs} at δ=1 ms"
     );
+
+    // One allocation per warm `allocate`: the returned `Allocation`.
+    for alg in [Algorithm::Fvdf, Algorithm::Sebf] {
+        for interleaved in [false, true] {
+            assert_eq!(
+                allocations_of_warm_allocate(alg, interleaved, 16),
+                16,
+                "{} allocates beyond the returned Allocation (interleaved ids: {interleaved})",
+                alg.name()
+            );
+        }
+    }
 }
