@@ -3,20 +3,19 @@
 //!
 //! Each sweep cell replays a seeded [`swallow_workload::gen::scale`] trace
 //! (FVDF + LZ4, δ = 1 ms, `EventsOnly`) once per engine mode — the naive
-//! slice loop, quiescent skip-ahead, the event-driven heap, and the
-//! event-driven heap with the sharded passes requested — reporting
-//! wall-clock, reschedules, heap allocations per replay and the skip-ahead
-//! hit ratio, and asserting that every mode's `SimResult` is bit-identical.
+//! slice loop and quiescent skip-ahead — reporting wall-clock, reschedules,
+//! heap allocations per replay and the skip-ahead hit ratio, and asserting
+//! that both modes' `SimResult`s are bit-identical.
 //! Results are *appended* to `BENCH_engine.json` under a stable schema
 //! ([`SCHEMA`]), so the committed file records the perf trajectory across
-//! PRs; when a fast mode's speedup over the naive loop falls below
+//! PRs; when skip-ahead's speedup over the naive loop falls below
 //! [`GATE_RATIO`] of the last committed speedup for the same tier, the
 //! command exits non-zero. Speedup ratios (not raw seconds) are gated
 //! because both legs of a ratio ran on the same machine.
 //!
 //! The naive slice loop is only replayed up to [`NAIVE_MAX_COFLOWS`]
 //! coflows — beyond that it takes minutes by design; that gap is the point
-//! of the fast modes — and skipped cells are reported explicitly rather
+//! of skip-ahead — and skipped cells are reported explicitly rather
 //! than silently capped.
 
 use std::sync::Arc;
@@ -47,14 +46,14 @@ pub const COMPAT_SCHEMAS: &[&str] = &["swallow-bench-engine/v2"];
 const TELEMETRY_STRIDE: u64 = 64;
 
 /// Slice length for the scale tiers. Much finer than the harness default:
-/// the tiers measure how well the fast modes avoid visiting quiescent
+/// the tiers measure how well skip-ahead avoids visiting quiescent
 /// boundaries, so the naive loop must have many boundaries to walk.
 pub const BENCH_SLICE: f64 = 0.001;
 
 /// Largest tier the naive slice loop is still asked to replay.
 pub const NAIVE_MAX_COFLOWS: usize = 100_000;
 
-/// A fast mode must keep at least this fraction of the committed speedup.
+/// Skip-ahead must keep at least this fraction of the committed speedup.
 pub const GATE_RATIO: f64 = 0.75;
 
 /// Repetitions per cell on the smaller tiers; best wall-clock is recorded.
@@ -155,7 +154,7 @@ pub fn parse_tiers(s: &str) -> Result<Vec<Tier>, String> {
 pub struct BenchOpts {
     /// Sweep cells, in run order.
     pub tiers: Vec<Tier>,
-    /// Exit non-zero when a fast mode regresses vs the committed baseline.
+    /// Exit non-zero when skip-ahead regresses vs the committed baseline.
     pub gate: bool,
 }
 
@@ -168,45 +167,11 @@ impl Default for BenchOpts {
     }
 }
 
-/// One engine configuration the sweep compares.
-struct ModeSpec {
-    name: &'static str,
-    mode: EngineMode,
-    /// Worker request forwarded to [`SimConfig::with_threads`]; the
-    /// effective count resolves through `swallow_fabric::shard::thread_budget`
-    /// (`SWALLOW_THREADS` overrides, capped at the hardware parallelism).
-    threads: Option<usize>,
-}
-
-/// Every engine mode the sweep compares, in report order. `event_sharded`
-/// requests every available core; with the default shard threshold the
-/// fan-out only engages when enough flows are simultaneously active, so on
-/// sweep tiers with a small active set it measures the sharded code path's
-/// bookkeeping overhead, not a parallel speedup — that is reported as-is.
-fn mode_list() -> Vec<ModeSpec> {
-    vec![
-        ModeSpec {
-            name: "naive",
-            mode: EngineMode::NaiveSlice,
-            threads: None,
-        },
-        ModeSpec {
-            name: "skip_ahead",
-            mode: EngineMode::SkipAhead,
-            threads: None,
-        },
-        ModeSpec {
-            name: "event",
-            mode: EngineMode::EventDriven,
-            threads: None,
-        },
-        ModeSpec {
-            name: "event_sharded",
-            mode: EngineMode::EventDriven,
-            threads: Some(usize::MAX),
-        },
-    ]
-}
+/// Every engine mode the sweep compares, in report order.
+const MODES: [(EngineMode, &str); 2] = [
+    (EngineMode::NaiveSlice, "naive"),
+    (EngineMode::SkipAhead, "skip_ahead"),
+];
 
 /// Run the default sweep (the plain `paper bench-engine` spelling).
 pub fn run() {
@@ -249,7 +214,6 @@ fn replay(
     fabric: &Fabric,
     coflows: Vec<Coflow>,
     mode: EngineMode,
-    threads: Option<usize>,
     tracer: Option<Tracer>,
     telemetry: Option<Arc<Telemetry>>,
 ) -> SimResult {
@@ -258,9 +222,6 @@ fn replay(
         .with_reschedule(Reschedule::EventsOnly)
         .with_mode(mode)
         .with_compression(scenario::lz4());
-    if let Some(n) = threads {
-        config = config.with_threads(n);
-    }
     if let Some(t) = tracer {
         config = config.with_tracer(t);
     }
@@ -286,8 +247,7 @@ fn bench_tier(tier: Tier) -> Value {
     let mut modes_json = Map::new();
     let mut timings: Vec<(&'static str, f64)> = Vec::new();
     let mut results: Vec<(&'static str, SimResult)> = Vec::new();
-    for spec in mode_list() {
-        let (name, mode) = (spec.name, spec.mode);
+    for (mode, name) in MODES {
         if mode == EngineMode::NaiveSlice && tier.coflows > NAIVE_MAX_COFLOWS {
             crate::report!(
                 "  {name:<12}: skipped (the naive loop is only replayed up to {} coflows)",
@@ -299,7 +259,7 @@ fn bench_tier(tier: Tier) -> Value {
         if tier.coflows <= 10_000 {
             // Warm up caches/allocator on the small tiers, where a cold
             // first rep would dominate the best-of statistics.
-            let _ = replay(&fabric, coflows.clone(), mode, spec.threads, None, None);
+            let _ = replay(&fabric, coflows.clone(), mode, None, None);
         }
         // Peak RSS brackets the timed reps only: reset after the warmup,
         // read before the instrumented pass (which allocates on purpose).
@@ -310,9 +270,8 @@ fn bench_tier(tier: Tier) -> Value {
         for _ in 0..reps {
             let trace_copy = coflows.clone(); // cloned outside the timed region
             let start = Instant::now();
-            let (a, res) = alloc_track::allocations_during(|| {
-                replay(&fabric, trace_copy, mode, spec.threads, None, None)
-            });
+            let (a, res) =
+                alloc_track::allocations_during(|| replay(&fabric, trace_copy, mode, None, None));
             best = best.min(start.elapsed().as_secs_f64());
             allocs = a;
             out = Some(res);
@@ -332,7 +291,6 @@ fn bench_tier(tier: Tier) -> Value {
                 &fabric,
                 coflows.clone(),
                 mode,
-                spec.threads,
                 Some(tracer.clone()),
                 Some(telemetry.clone()),
             );
@@ -371,7 +329,7 @@ fn bench_tier(tier: Tier) -> Value {
         results.push((name, res));
     }
 
-    // Bit-identity across every mode that ran, against the first.
+    // Bit-identity across the modes that ran, against the first.
     let mut identical = true;
     if let Some((ref_name, ref_res)) = results.first() {
         for (name, res) in &results[1..] {
@@ -511,38 +469,13 @@ mod tests {
         let cfg = scale(60, 16);
         let coflows = CoflowGen::new(cfg.clone()).generate();
         let fabric = Fabric::uniform(cfg.num_nodes, units::gbps(1.0));
-        let fast = replay(
-            &fabric,
-            coflows.clone(),
-            EngineMode::SkipAhead,
-            None,
-            None,
-            None,
-        );
-        let event = replay(
-            &fabric,
-            coflows.clone(),
-            EngineMode::EventDriven,
-            None,
-            None,
-            None,
-        );
-        let sharded = replay(
-            &fabric,
-            coflows.clone(),
-            EngineMode::EventDriven,
-            Some(2),
-            None,
-            None,
-        );
-        let naive = replay(&fabric, coflows, EngineMode::NaiveSlice, None, None, None);
+        let fast = replay(&fabric, coflows.clone(), EngineMode::SkipAhead, None, None);
+        let naive = replay(&fabric, coflows, EngineMode::NaiveSlice, None, None);
         assert!(fast.all_complete(), "scale tier must complete");
-        for other in [&naive, &event, &sharded] {
-            assert_eq!(fast.flows, other.flows);
-            assert_eq!(fast.coflows, other.coflows);
-            assert_eq!(fast.makespan.to_bits(), other.makespan.to_bits());
-            assert_eq!(fast.reschedules, other.reschedules);
-        }
+        assert_eq!(fast.flows, naive.flows);
+        assert_eq!(fast.coflows, naive.coflows);
+        assert_eq!(fast.makespan.to_bits(), naive.makespan.to_bits());
+        assert_eq!(fast.reschedules, naive.reschedules);
     }
 
     #[test]
@@ -599,6 +532,12 @@ mod tests {
         })];
         assert!(gate_failures(&old, &other).is_empty());
         assert!(gate_failures(&[], &bad).is_empty());
+        // Neither does a committed mode the fresh run no longer sweeps.
+        let retired = vec![json!({
+            "label": "10k/1k",
+            "speedup_vs_naive": { "skip_ahead": 10.0, "retired_mode": 99.0 },
+        })];
+        assert!(gate_failures(&retired, &ok).is_empty());
     }
 
     #[test]
@@ -608,12 +547,12 @@ mod tests {
         // new columns.
         let old = vec![json!({
             "label": "10k/1k",
-            "speedup_vs_naive": { "event": 12.0 },
+            "speedup_vs_naive": { "skip_ahead": 12.0 },
         })];
         let fresh = vec![json!({
             "label": "10k/1k",
-            "speedup_vs_naive": { "event": 11.0 },
-            "modes": { "event": { "peak_rss_bytes": 123456, "mean_port_util": 0.2 } },
+            "speedup_vs_naive": { "skip_ahead": 11.0 },
+            "modes": { "skip_ahead": { "peak_rss_bytes": 123456, "mean_port_util": 0.2 } },
         })];
         assert!(gate_failures(&old, &fresh).is_empty());
     }

@@ -10,7 +10,7 @@
 //!   seed and stride produce byte-identical files — the property the CI
 //!   `dash-smoke` job and `tests/dash_determinism.rs` pin.
 //! * `DASH_report.html` — a self-contained dashboard: inline SVG sparklines
-//!   for utilization/occupancy/queue depth, the port-utilization decile
+//!   for utilization/occupancy/byte ledgers, the port-utilization decile
 //!   distribution, and the per-phase latency CDFs. No external assets, no
 //!   scripts; open it from a CI artifact without a network.
 //! * `DASH_report.prom` — Prometheus text exposition of the final sample's
@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use crate::scenario::{self, DEFAULT_SLICE};
-use swallow_fabric::engine::{EngineMode, Reschedule};
+use swallow_fabric::engine::Reschedule;
 use swallow_fabric::{units, Engine, Fabric, SimConfig};
 use swallow_metrics::{export, Table, Telemetry, TelemetrySnapshot};
 use swallow_sched::Algorithm;
@@ -46,11 +46,8 @@ pub fn collect(experiment: &str, seed: u64, stride: u64) -> TelemetrySnapshot {
     let trace = scenario::fig6_trace(bw, num_coflows, 4.0, seed);
     let fabric = Fabric::uniform(trace.num_nodes, bw);
     let telemetry = Arc::new(Telemetry::with_stride(stride));
-    // Event-driven mode so the queue-depth / dirty-mark / rebuild series
-    // carry signal; samples are bit-identical across modes regardless.
     let config = SimConfig::default()
         .with_slice(DEFAULT_SLICE)
-        .with_mode(EngineMode::EventDriven)
         .with_reschedule(Reschedule::EventsOnly)
         .with_compression(scenario::lz4())
         .with_telemetry(telemetry.clone());
@@ -83,7 +80,6 @@ pub fn run(experiment: &str, seed: u64, stride: u64) {
     if let Some(last) = snap.samples.last() {
         t.row(&["sim_time_s".into(), format!("{:.3}", last.time)]);
         t.row(&["reschedules".into(), last.reschedules.to_string()]);
-        t.row(&["evq_rebuilds".into(), last.evq_rebuilds.to_string()]);
         t.row(&[
             "bytes_saved_frac".into(),
             format!(
@@ -154,12 +150,10 @@ mod tests {
         assert!(snap.phases["schedule"].count > 0, "schedule phase empty");
         assert!(snap.phases["water_fill"].count > 0, "water_fill empty");
         assert!(snap.phases["materialize"].count > 0, "materialize empty");
-        assert!(snap.phases["event_queue"].count > 0, "event_queue empty");
         // Cumulative counters are monotone along the series.
         let series = &snap.samples;
         for w in series.windows(2) {
             assert!(w[1].reschedules >= w[0].reschedules);
-            assert!(w[1].evq_dirty_marks >= w[0].evq_dirty_marks);
             assert!(w[1].bytes_on_wire >= w[0].bytes_on_wire - 1e-9);
         }
     }

@@ -6,8 +6,9 @@
 //!
 //! 1. replays the workload through the naive slice loop, the skip-ahead
 //!    fast path and the empty-fault-plan path, with a fresh online
-//!    [`InvariantChecker`] on every leg, and demands **zero** violations
-//!    and **bit-exact** agreement between the five replay legs;
+//!    [`swallow_oracle::InvariantChecker`] on every leg, and demands
+//!    **zero** violations and **bit-exact** agreement between the three
+//!    replay legs;
 //! 2. checks every measured metric against the analytic lower bounds
 //!    (isolation / average CCT, makespan, average FCT) at the workload's
 //!    best-case compression ratio;

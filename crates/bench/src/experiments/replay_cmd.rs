@@ -7,7 +7,7 @@
 //! the scan's peak-RSS watermark, which stays flat as traces grow), then
 //! each policy × engine-mode leg re-streams it through
 //! [`Engine::from_arrivals`] with a fresh online [`InvariantChecker`]
-//! attached. Per policy, every engine mode must agree bit-for-bit on flow
+//! attached. Per policy, both engine modes must agree bit-for-bit on flow
 //! records, coflow records and makespan; `--bg F` reserves a fraction of
 //! every port for background traffic (CoflowSim's `bandwidth *= 1 -
 //! background_flow`).
@@ -41,9 +41,8 @@ const DEFAULT_POLICIES: [Algorithm; 4] = [
 ];
 
 /// Engine modes every replay leg must agree across, with their CLI names.
-const MODES: [(EngineMode, &str); 3] = [
+const MODES: [(EngineMode, &str); 2] = [
     (EngineMode::SkipAhead, "skip"),
-    (EngineMode::EventDriven, "event"),
     (EngineMode::NaiveSlice, "naive"),
 ];
 
@@ -61,7 +60,7 @@ pub struct ReplayOpts {
     pub ports: Option<usize>,
     /// Fold out-of-range machine slots onto ports modulo the fabric.
     pub wrap: bool,
-    /// Engine modes to run and bit-compare (`skip,event,naive`).
+    /// Engine modes to run and bit-compare (`skip,naive`).
     pub modes: Vec<String>,
     /// Report path.
     pub out: String,
@@ -249,7 +248,7 @@ pub fn run(opts: &ReplayOpts) {
         .map(|n| (resolve_mode(n), n.clone()))
         .collect();
     if modes.is_empty() {
-        die("--modes needs at least one of skip,event,naive");
+        die("--modes needs at least one of skip,naive");
     }
 
     let fabric = Fabric::uniform(num_nodes, units::gbps(REPLAY_BANDWIDTH_GBPS));

@@ -6,10 +6,9 @@
 //!
 //! For every pilot fraction × sampled policy the command:
 //!
-//! 1. runs the naive slice loop, the skip-ahead fast path and the
-//!    event-driven engine and demands **bit-exact** agreement — the
-//!    estimator is a pure function of the admission/completion sequence,
-//!    which every engine mode shares;
+//! 1. runs the naive slice loop and the skip-ahead fast path and demands
+//!    **bit-exact** agreement — the estimator is a pure function of the
+//!    admission/completion sequence, which both engine modes share;
 //! 2. measures the admission-time size-estimation error alongside the
 //!    realized average CCT;
 //! 3. at pilot fraction 1.0, additionally demands that Sampled-FVDF
@@ -42,10 +41,9 @@ pub const EXPERIMENTS: &[&str] = &["fig6a", "small", "replay"];
 const FRACTIONS: [f64; 4] = [0.1, 0.25, 0.5, 1.0];
 
 /// Engine modes every leg must agree across.
-const MODES: [(EngineMode, &str); 3] = [
+const MODES: [(EngineMode, &str); 2] = [
     (EngineMode::NaiveSlice, "naive"),
     (EngineMode::SkipAhead, "skip"),
-    (EngineMode::EventDriven, "event"),
 ];
 
 /// One pilot-fraction × policy cell of the sweep.
@@ -60,7 +58,7 @@ struct SampledRow {
     gap_vs_clairvoyant: f64,
     /// `avg_cct / clairvoyant FVDF's avg_cct` (the Fig. 6 unit).
     gap_vs_fvdf: f64,
-    /// Bit-exact agreement across all three engine modes.
+    /// Bit-exact agreement across both engine modes.
     modes_ok: bool,
 }
 
@@ -74,7 +72,7 @@ struct SamplingReport {
     clairvoyant: BTreeMap<String, f64>,
     rows: Vec<SampledRow>,
     /// Sampled-FVDF at pilot fraction 1.0 matched clairvoyant FVDF to
-    /// the bit in every engine mode.
+    /// the bit in both engine modes.
     full_sampling_bit_exact: bool,
     ok: bool,
 }
@@ -95,8 +93,8 @@ fn make_sampled(label: &str, fraction: f64) -> Box<dyn Policy> {
     }
 }
 
-/// Run one policy through every engine mode; the naive loop is the
-/// reference. Returns the reference result and whether every mode agreed
+/// Run one policy through both engine modes; the naive loop is the
+/// reference. Returns the reference result and whether the modes agreed
 /// bit-for-bit on makespan, flow records, coflow records and reschedules.
 fn run_modes(
     base: &SimConfig,
@@ -287,7 +285,7 @@ mod tests {
     }
 
     /// An 8-coflow miniature of the sweep: both sampled policies agree to
-    /// the bit across every engine mode at sparse and full sampling.
+    /// the bit across both engine modes at sparse and full sampling.
     #[test]
     fn sampled_panel_is_bit_exact_across_modes_at_smoke_scale() {
         let (fabric, coflows, base) = smoke_setup();

@@ -81,7 +81,7 @@ fn usage() -> ! {
          \x20     sampling <experiment> [--seed N]\n\
          \x20     dash <experiment> [--seed N] [--stride K]\n\
          \x20     replay <trace> [--policy P] [--bg F] [--seed N] [--ports N]\n\
-         \x20            [--modes skip,event,naive] [--wrap] [--out <path>]\n\
+         \x20            [--modes skip,naive] [--wrap] [--out <path>]\n\
          \x20     serve [--policy P] [--seed N] [--coflows N] [--queue N]\n\
          \x20            [--out <path>]\n\
          \x20     slam  [--policy P] [--seed N] [--coflows N] [--queue N]\n\
@@ -255,7 +255,7 @@ fn main() {
                 let p = CommonArgs::new(
                     "replay",
                     "paper replay <trace> [--policy P] [--bg F] [--seed N] [--ports N] \
-                     [--modes skip,event,naive] [--wrap] [--out <path>]",
+                     [--modes skip,naive] [--wrap] [--out <path>]",
                 )
                 .positional("trace")
                 .value_flag("--policy")

@@ -9,9 +9,9 @@
 //!
 //! The worker count defaults to the machine's available parallelism, capped
 //! by the number of cells; set `SWALLOW_THREADS=1` to force the old
-//! sequential behaviour (or any other count to bound CPU usage). The same
-//! variable governs the sharded engine's scoped pool, so one knob bounds
-//! the whole harness; `SWALLOW_JOBS` is honored as a legacy alias.
+//! sequential behaviour (or any other count to bound CPU usage);
+//! `SWALLOW_JOBS` is honored as a legacy alias. The engine itself is
+//! single-threaded and reads neither.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

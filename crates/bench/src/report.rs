@@ -1,7 +1,8 @@
 //! Run-output reporting for the `paper` harness.
 //!
-//! Every experiment routes its human-readable output through the [`report!`]
-//! macro instead of bare `println!`, so `paper --quiet …` suppresses the
+//! Every experiment routes its human-readable output through the
+//! [`crate::report!`] macro instead of bare `println!`, so `paper --quiet …`
+//! suppresses the
 //! narrative text while machine-readable artifacts (`BENCH_engine.json`,
 //! `TRACE_summary.json`, trace exports) are still written.
 

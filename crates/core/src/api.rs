@@ -34,9 +34,7 @@
 //!
 //! The builder validates its inputs (returning
 //! [`SwallowError::InvalidConfig`]) and is the only place a fault
-//! [`Injector`] and a [`Tracer`] can be attached. The pre-builder
-//! constructors (`new`, `new_with_tracer`, `get_instance`) survive as thin
-//! deprecated shims.
+//! [`Injector`] and a [`Tracer`] can be attached.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -53,9 +51,6 @@ use crate::worker::Worker;
 use swallow_fabric::FlowId;
 use swallow_faults::Injector;
 use swallow_trace::{TraceEvent, Tracer};
-
-#[allow(deprecated)]
-pub use crate::error::CoreError;
 
 /// Outcome of one `push`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,8 +83,7 @@ struct Ctx {
 }
 
 /// Handle to a running Swallow runtime. Cheap to clone (the paper's
-/// `SwallowContext.getInstance()` singleton pattern maps to cloning, or to
-/// the process-wide [`SwallowContext::get_instance`]).
+/// `SwallowContext.getInstance()` singleton pattern maps to cloning).
 #[derive(Clone)]
 pub struct SwallowContext {
     inner: Arc<Ctx>,
@@ -103,9 +97,6 @@ impl std::fmt::Debug for SwallowContext {
             .finish_non_exhaustive()
     }
 }
-
-/// Process-wide singleton backing [`SwallowContext::get_instance`].
-static INSTANCE: std::sync::OnceLock<SwallowContext> = std::sync::OnceLock::new();
 
 /// Configures and boots a [`SwallowContext`]; obtained from
 /// [`SwallowContext::builder`].
@@ -265,43 +256,6 @@ impl SwallowContext {
     /// Start configuring a runtime. See the module docs for the shape.
     pub fn builder() -> SwallowContextBuilder {
         SwallowContextBuilder::new()
-    }
-
-    /// The §V-B singleton: `SwallowContext.getInstance()`. The first call
-    /// boots a runtime with the given configuration; later calls return the
-    /// same runtime and ignore the arguments.
-    #[deprecated(note = "use SwallowContext::builder() and share clones of the handle")]
-    pub fn get_instance(config: SwallowConfig, num_workers: usize) -> SwallowContext {
-        INSTANCE
-            .get_or_init(|| {
-                SwallowContext::builder()
-                    .config(config)
-                    .workers(num_workers)
-                    .build()
-                    .expect("get_instance: invalid configuration")
-            })
-            .clone()
-    }
-
-    /// Boot a runtime with `num_workers` workers and start their daemons.
-    #[deprecated(note = "use SwallowContext::builder()")]
-    pub fn new(config: SwallowConfig, num_workers: usize) -> Self {
-        Self::builder()
-            .config(config)
-            .workers(num_workers)
-            .build()
-            .expect("SwallowContext::new: invalid configuration")
-    }
-
-    /// Boot with structured tracing.
-    #[deprecated(note = "use SwallowContext::builder().tracer(..)")]
-    pub fn new_with_tracer(config: SwallowConfig, num_workers: usize, tracer: Tracer) -> Self {
-        Self::builder()
-            .config(config)
-            .workers(num_workers)
-            .tracer(tracer)
-            .build()
-            .expect("SwallowContext::new_with_tracer: invalid configuration")
     }
 
     /// The tracer events are flowing into (disabled unless one was attached
@@ -828,21 +782,6 @@ mod tests {
         let sched = ctx.scheduling(&[coflow]);
         assert_eq!(sched.compress.len(), 1);
         ctx.shutdown();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[allow(clippy::disallowed_methods)]
-    fn get_instance_returns_one_runtime() {
-        let a = SwallowContext::get_instance(fast_config(), 3);
-        let b = SwallowContext::get_instance(fast_config().without_compression(), 5);
-        // Same underlying runtime: the second call's arguments are ignored.
-        assert_eq!(a.num_workers(), b.num_workers());
-        assert!(b.config().smart_compress, "first boot's config wins");
-        let block = a.stage(WorkerId(0), WorkerId(1), compressible_payload(1_000));
-        let coflow = a.add(a.aggregate(a.hook(WorkerId(0))));
-        b.push(coflow, block).unwrap();
-        assert!(a.is_complete(coflow));
     }
 
     #[test]

@@ -100,10 +100,6 @@ impl From<swallow_workload::WorkloadError> for SwallowError {
     }
 }
 
-/// The pre-0.2 name of [`SwallowError`].
-#[deprecated(note = "renamed to SwallowError")]
-pub type CoreError = SwallowError;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 
 use crate::error::SwallowError;
 use swallow_fabric::engine::Reschedule;
-use swallow_fabric::{Coflow, Engine, EngineMode, Fabric, SimConfig, SimResult};
+use swallow_fabric::{Coflow, Engine, Fabric, SimConfig, SimResult};
 use swallow_sched::{AdmissionController, AdmissionVerdict, Algorithm};
 use swallow_trace::Tracer;
 
@@ -130,7 +130,6 @@ pub struct CoflowServiceBuilder {
     algorithm: Algorithm,
     queue_capacity: usize,
     slice: f64,
-    mode: EngineMode,
     xi: f64,
     guard: Option<f64>,
     tracer: Tracer,
@@ -143,7 +142,6 @@ impl Default for CoflowServiceBuilder {
             algorithm: Algorithm::Fvdf,
             queue_capacity: 1024,
             slice: 0.01,
-            mode: EngineMode::EventDriven,
             xi: 1.0,
             guard: None,
             tracer: Tracer::disabled(),
@@ -175,12 +173,6 @@ impl CoflowServiceBuilder {
     /// Simulation slice width in seconds (default 0.01).
     pub fn slice(mut self, slice: f64) -> Self {
         self.slice = slice;
-        self
-    }
-
-    /// Engine stepping mode (default [`EngineMode::EventDriven`]).
-    pub fn mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -251,11 +243,10 @@ impl CoflowServiceBuilder {
         admission.set_tracer(self.tracer.clone());
         let queue = ArrivalQueue::new();
         let rx = queue.clone();
-        // Events-only rescheduling lets the event-driven engine jump
+        // Events-only rescheduling lets the engine's skip-ahead jump
         // boundary-to-boundary; results are bit-identical to every-slice.
         let config = SimConfig::default()
             .with_slice(self.slice)
-            .with_mode(self.mode)
             .with_reschedule(Reschedule::EventsOnly)
             .with_tracer(self.tracer);
         let algorithm = self.algorithm;

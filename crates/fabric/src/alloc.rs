@@ -374,16 +374,14 @@ impl TouchedCounters {
 }
 
 /// Caller-owned buffers for [`water_fill_with`], so repeated fills perform
-/// no per-call allocation once the buffers have grown to the fabric size,
-/// plus the parallelism settings for the binding-port scan.
+/// no per-call allocation once the buffers have grown to the fabric size.
 ///
 /// The rounds iterate a deduplicated list of the ports the demands actually
 /// touch instead of every port in the fabric, which turns each round from
 /// `O(fabric size)` into `O(demand ports)`. The binding-port minimum is the
 /// `f64::min` over that list; min over non-NaN values is order-independent,
-/// so iterating the touched list (or sharding it across workers and folding
-/// the per-chunk minima in chunk order) is bit-identical to the dense scan.
-#[derive(Debug, Clone)]
+/// so iterating the touched list is bit-identical to the dense scan.
+#[derive(Debug, Default, Clone)]
 pub struct WaterFillScratch {
     rates: Vec<f64>,
     frozen: Vec<bool>,
@@ -393,36 +391,6 @@ pub struct WaterFillScratch {
     i_cnt: Vec<usize>,
     ports: Vec<u32>,
     seen: Vec<bool>,
-    workers: usize,
-    threshold: usize,
-}
-
-impl Default for WaterFillScratch {
-    fn default() -> Self {
-        Self {
-            rates: Vec::new(),
-            frozen: Vec::new(),
-            egress_left: Vec::new(),
-            ingress_left: Vec::new(),
-            e_cnt: Vec::new(),
-            i_cnt: Vec::new(),
-            ports: Vec::new(),
-            seen: Vec::new(),
-            workers: 1,
-            threshold: crate::shard::DEFAULT_SHARD_THRESHOLD,
-        }
-    }
-}
-
-impl WaterFillScratch {
-    /// Enable the sharded binding-port scan: fills with at least
-    /// `shard_threshold` touched ports split the min-share scan across
-    /// `workers` scoped threads (the result stays bit-identical; see the
-    /// struct docs). `workers == 1` keeps every fill fully serial.
-    pub fn set_parallelism(&mut self, workers: usize, shard_threshold: usize) {
-        self.workers = workers.max(1);
-        self.threshold = shard_threshold;
-    }
 }
 
 /// Max-min fair water-filling over the big switch: every demand gets the
@@ -437,9 +405,8 @@ pub fn water_fill(fabric: &Fabric, demands: &[(FlowId, NodeId, NodeId)]) -> BTre
     water_fill_with(fabric, demands, &mut scratch)
 }
 
-/// [`water_fill`] with caller-owned buffers and optional sharding of the
-/// binding-port scan (see [`WaterFillScratch`]); only the returned map is
-/// allocated.
+/// [`water_fill`] with caller-owned buffers (see [`WaterFillScratch`]);
+/// only the returned map is allocated.
 pub fn water_fill_with(
     fabric: &Fabric,
     demands: &[(FlowId, NodeId, NodeId)],
@@ -494,30 +461,17 @@ pub fn water_fill_with(
         }
         // The binding port is the one with the smallest fair share. Ports
         // with no unfrozen flow contribute nothing, so scanning the touched
-        // list covers the full candidate set; sharding the scan folds the
-        // per-chunk minima in chunk order (bit-identical either way).
-        let min_share = {
-            let chunk_min = |chunk: &[u32]| {
-                let mut m = f64::INFINITY;
-                for &p in chunk {
-                    let p = p as usize;
-                    if s.e_cnt[p] > 0 {
-                        m = m.min(s.egress_left[p] / s.e_cnt[p] as f64);
-                    }
-                    if s.i_cnt[p] > 0 {
-                        m = m.min(s.ingress_left[p] / s.i_cnt[p] as f64);
-                    }
-                }
-                m
-            };
-            if s.workers > 1 && s.ports.len() >= s.threshold.max(1) {
-                crate::shard::map_chunks(&s.ports, s.workers, chunk_min)
-                    .into_iter()
-                    .fold(f64::INFINITY, f64::min)
-            } else {
-                chunk_min(&s.ports)
+        // list covers the full candidate set.
+        let mut min_share = f64::INFINITY;
+        for &p in &s.ports {
+            let p = p as usize;
+            if s.e_cnt[p] > 0 {
+                min_share = min_share.min(s.egress_left[p] / s.e_cnt[p] as f64);
             }
-        };
+            if s.i_cnt[p] > 0 {
+                min_share = min_share.min(s.ingress_left[p] / s.i_cnt[p] as f64);
+            }
+        }
         if !min_share.is_finite() || min_share <= 0.0 {
             break;
         }
@@ -618,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn water_fill_sharded_scan_is_bit_identical_to_serial() {
+    fn water_fill_reused_scratch_is_bit_identical_to_fresh() {
         // A congested many-port instance with uneven caps so several rounds
         // run and the binding port moves around.
         let n = 64usize;
@@ -632,22 +586,14 @@ mod tests {
                 demands.push((FlowId(i), NodeId(s), NodeId(d)));
             }
         }
-        let serial = water_fill(&fabric, &demands);
-        for workers in [2, 3, 8] {
-            let mut scratch = WaterFillScratch::default();
-            scratch.set_parallelism(workers, 1);
-            let sharded = water_fill_with(&fabric, &demands, &mut scratch);
-            assert_eq!(serial.len(), sharded.len());
-            for (f, r) in &serial {
-                assert_eq!(
-                    r.to_bits(),
-                    sharded[f].to_bits(),
-                    "flow {f:?} diverged at workers={workers}"
-                );
-            }
-            // Reusing the scratch must also be clean.
-            let again = water_fill_with(&fabric, &demands, &mut scratch);
-            assert_eq!(again, sharded);
+        let fresh = water_fill(&fabric, &demands);
+        let mut scratch = WaterFillScratch::default();
+        // Dirty the scratch with a different instance first.
+        water_fill_with(&fabric, &demands[..demands.len() / 2], &mut scratch);
+        let reused = water_fill_with(&fabric, &demands, &mut scratch);
+        assert_eq!(fresh.len(), reused.len());
+        for (f, r) in &fresh {
+            assert_eq!(r.to_bits(), reused[f].to_bits(), "flow {f:?} diverged");
         }
     }
 

@@ -44,7 +44,6 @@ use crate::check::{CheckCtx, CheckedFlow, EngineCheck};
 use crate::coflow::Coflow;
 use crate::cpu::CpuModel;
 use crate::event::{EventKind, EventLog};
-use crate::evq::{self, EventQueue};
 use crate::flow::FlowProgress;
 use crate::fx::FxHashMap;
 use crate::ids::{CoflowId, FlowId, NodeId};
@@ -54,7 +53,6 @@ use crate::sample::{Sample, Timeline};
 use crate::view::{CompressionSpec, ConstCompression, FabricView, FlowView};
 use crate::VOLUME_EPS;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,31 +76,22 @@ pub enum Reschedule {
 
 /// How the engine advances simulated time between events.
 ///
-/// Every mode produces **bit-identical** [`SimResult`]s: they all evaluate
-/// the same closed-form segment expressions at the same boundaries and run
-/// the identical detection/retirement code at every visited boundary. The
-/// modes differ only in *which quiescent boundaries they bother to visit*
-/// (see the module docs; the equivalence is pinned by the fast-path tests
-/// here and by `swallow-oracle::differential_replay`).
+/// Both modes produce **bit-identical** [`SimResult`]s: they evaluate the
+/// same closed-form segment expressions at the same boundaries and run the
+/// identical detection/retirement code at every visited boundary. They
+/// differ only in *which quiescent boundaries they bother to visit* (see
+/// the module docs; the equivalence is pinned by the fast-path tests here
+/// and by `swallow-oracle::differential_replay`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineMode {
-    /// Visit every slice boundary one by one — the reference loop the
-    /// other modes are diffed against.
+    /// Visit every slice boundary one by one — the reference loop
+    /// `SkipAhead` is diffed against.
     NaiveSlice,
     /// Quiescent skip-ahead (the default): at each visited boundary, scan
     /// the active flows for the earliest future slice at which anything
     /// observable happens and jump straight to it. Only effective under
     /// [`Reschedule::EventsOnly`]; `EverySlice` must visit every boundary.
     SkipAhead,
-    /// Event-driven: keep a min-heap of predicted completion / exhaustion /
-    /// arrival / fault boundaries (see [`crate::evq`]) and jump
-    /// boundary-to-boundary with an `O(1)` peek while the system is
-    /// quiescent, rebuilding the heap only after an event fires. The heap
-    /// entries are computed by the same closed-form search `SkipAhead` runs,
-    /// so results stay bit-identical; the win over `SkipAhead` is
-    /// asymptotic — no `O(active)` rescan at every visited boundary. Like
-    /// `SkipAhead`, only effective under [`Reschedule::EventsOnly`].
-    EventDriven,
 }
 
 /// Engine configuration.
@@ -127,7 +116,7 @@ pub struct SimConfig {
     /// (the paper omits it, citing Table II's speed asymmetry; enabling
     /// this quantifies the omission).
     pub model_decompression: bool,
-    /// Time-advance mode (see [`EngineMode`]). Every mode produces
+    /// Time-advance mode (see [`EngineMode`]). Both modes produce
     /// bit-identical results; [`EngineMode::SkipAhead`] is the default.
     /// Select [`EngineMode::NaiveSlice`] only to exercise the reference
     /// path in equivalence tests and benchmarks.
@@ -145,15 +134,6 @@ pub struct SimConfig {
     /// default: the only cost of the disabled path is one branch per
     /// boundary, so the zero-alloc and bit-identity guarantees hold.
     pub check: Option<Arc<dyn EngineCheck>>,
-    /// Worker-thread request for the sharded passes, resolved through
-    /// [`crate::shard::thread_budget`] (the `SWALLOW_THREADS` environment
-    /// override wins; everything is capped at `available_parallelism`).
-    /// `None` (the default) means serial unless the override is set.
-    /// Results are bit-identical for every worker count.
-    pub threads: Option<usize>,
-    /// Minimum active-flow (or touched-port) count before a shardable pass
-    /// actually fans out; below it the spawn/join overhead dominates.
-    pub shard_threshold: usize,
     /// Telemetry collector (see [`swallow_metrics::Telemetry`]): a strided
     /// time-series sampler at visited slice/event boundaries plus the
     /// engine phase profiler. `None` by default — the disabled path is a
@@ -164,7 +144,7 @@ pub struct SimConfig {
     /// traffic, in `[0, 1)` — CoflowSim's `bandwidth *= 1 - background_flow`
     /// model. The engine derates the fabric once at construction, so every
     /// consumer (policy view, feasibility clamps, invariant checker,
-    /// telemetry) sees the same shrunken capacities and all time-advance
+    /// telemetry) sees the same shrunken capacities and both time-advance
     /// modes stay bit-identical by construction. `0.0` (the default) is an
     /// exact no-op.
     pub background_traffic: f64,
@@ -185,8 +165,6 @@ impl Default for SimConfig {
             tracer: Tracer::disabled(),
             faults: Injector::default(),
             check: None,
-            threads: None,
-            shard_threshold: crate::shard::DEFAULT_SHARD_THRESHOLD,
             telemetry: None,
             background_traffic: 0.0,
         }
@@ -238,16 +216,10 @@ impl SimConfig {
         self
     }
 
-    /// Force the naive slice-by-slice loop (no quiescent skip-ahead). The
-    /// results are bit-identical either way; this exists for the
+    /// Select the time-advance mode (see [`EngineMode`]). Results are
+    /// bit-identical either way; [`EngineMode::NaiveSlice`] exists for the
     /// equivalence suite and for allocation/throughput measurements of the
-    /// naive path. Shorthand for `with_mode(EngineMode::NaiveSlice)`.
-    pub fn without_skip_ahead(mut self) -> Self {
-        self.mode = EngineMode::NaiveSlice;
-        self
-    }
-
-    /// Select the time-advance mode (see [`EngineMode`]).
+    /// reference loop.
     pub fn with_mode(mut self, mode: EngineMode) -> Self {
         self.mode = mode;
         self
@@ -281,29 +253,13 @@ impl SimConfig {
         self
     }
 
-    /// Request up to `n` workers for the sharded passes (ledger
-    /// materialization, the water-fill binding-port scan). The effective
-    /// count is resolved through [`crate::shard::thread_budget`]:
-    /// `SWALLOW_THREADS` overrides, and everything is capped at the
-    /// hardware parallelism. Results are bit-identical for any count.
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
-    }
-
-    /// Set the minimum element count before a shardable pass fans out.
-    pub fn with_shard_threshold(mut self, threshold: usize) -> Self {
-        self.shard_threshold = threshold;
-        self
-    }
-
     /// Attach a telemetry collector (see [`swallow_metrics::Telemetry`]).
     /// The engine records a [`TelemetrySample`] at every `stride`-th visited
-    /// boundary and feeds the phase profiler (materialization, event-queue
-    /// maintenance, hooks, the full scheduling decision); the collector is
-    /// also forwarded to the policy via [`Policy::set_telemetry`] so the
-    /// water-fill scan can time itself. Telemetry never changes simulation
-    /// results — samples are pure reads of engine state.
+    /// boundary and feeds the phase profiler (materialization, hooks, the
+    /// full scheduling decision); the collector is also forwarded to the
+    /// policy via [`Policy::set_telemetry`] so the water-fill scan can time
+    /// itself. Telemetry never changes simulation results — samples are
+    /// pure reads of engine state.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -681,10 +637,6 @@ pub struct Engine {
     retired_wire: f64,
     /// Cumulative compression savings of retired flows, raw minus wire.
     retired_saved: f64,
-    /// Next-event heap for [`EngineMode::EventDriven`] (see [`crate::evq`]).
-    evq: EventQueue,
-    /// Resolved worker count for the sharded passes (1 = fully serial).
-    workers: usize,
 }
 
 struct CoflowMeta {
@@ -739,8 +691,8 @@ impl Engine {
         eng
     }
 
-    /// Shared construction: resolve the CPU model and worker budget, apply
-    /// the background-traffic derate, and start with an empty trace.
+    /// Shared construction: resolve the CPU model, apply the
+    /// background-traffic derate, and start with an empty trace.
     fn build(fabric: Fabric, config: SimConfig) -> Self {
         assert!(
             (0.0..1.0).contains(&config.background_traffic),
@@ -761,7 +713,6 @@ impl Engine {
             "CPU model must cover every fabric node"
         );
         let next_fault = config.faults.next_change_after(f64::NEG_INFINITY);
-        let workers = crate::shard::thread_budget(config.threads);
         Self {
             fabric,
             cpu,
@@ -785,8 +736,6 @@ impl Engine {
             tele_ingress: Vec::new(),
             retired_wire: 0.0,
             retired_saved: 0.0,
-            evq: EventQueue::new(),
-            workers,
         }
     }
 
@@ -794,7 +743,7 @@ impl Engine {
     /// outside this call, `pending` is empty with `arrivals` attached only
     /// if the stream is exhausted — every site that pops `pending` refills
     /// immediately, so the loop's `pending.last()` / `pending.is_empty()`
-    /// reads (idle fast-forward, skip/event targets, the stall net) keep
+    /// reads (idle fast-forward, the skip target, the stall net) keep
     /// their materialized-trace meaning.
     fn refill(&mut self) {
         if !self.pending.is_empty() {
@@ -832,7 +781,6 @@ impl Engine {
         let speed = self.config.compression.speed();
         let tracer = self.config.tracer.clone();
         policy.set_tracer(tracer.clone());
-        policy.set_parallelism(self.workers, self.config.shard_threshold);
         let telemetry = self.config.telemetry.clone();
         policy.set_telemetry(telemetry.clone());
         // Highest-priority trigger seen since the last policy invocation
@@ -871,8 +819,7 @@ impl Engine {
             // `k` every `k`-th boundary pays for the phase timers *and* the
             // sample; the rest reduce to this one branch. The flag is also
             // published through `Telemetry::is_active` for sites outside
-            // this loop (the policy's water-fill timer, the event-queue
-            // rebuild).
+            // this loop (the policy's water-fill timer).
             let tele_active = telemetry.as_deref().is_some_and(Telemetry::begin_boundary);
             // Fast-forward over idle gaps: jump to the slice boundary at or
             // after the next arrival.
@@ -893,7 +840,7 @@ impl Engine {
             {
                 let c = self.pending.pop().unwrap();
                 // Keep the lookahead full so this loop's condition (and the
-                // skip/event targets downstream) see the next arrival.
+                // skip target downstream) see the next arrival.
                 self.refill();
                 admitted = true;
                 events.push(now, EventKind::CoflowArrived(c.id));
@@ -960,7 +907,7 @@ impl Engine {
                     coflow_records.push(CoflowRecord {
                         id: c.id,
                         arrival: c.arrival,
-                        completed_at: Some(c.arrival.max(now.min(c.arrival))),
+                        completed_at: Some(c.arrival),
                         total_bytes: c.total_bytes(),
                         num_flows: c.flows.len(),
                     });
@@ -983,9 +930,6 @@ impl Engine {
             }
             if admitted {
                 upgrade_cause(&mut pending_cause, RescheduleCause::Arrival);
-                // The active set and the pending head changed; queued
-                // arrival/completion predictions are stale.
-                self.evq.mark_dirty();
             }
             needs_schedule |= admitted;
 
@@ -1018,9 +962,6 @@ impl Engine {
                 needs_schedule = true;
                 upgrade_cause(&mut pending_cause, RescheduleCause::Fault);
                 self.next_fault = self.config.faults.next_change_after(boundary);
-                // The queued fault entry was consumed; predictions must be
-                // re-derived against the next boundary.
-                self.evq.mark_dirty();
             }
 
             if self.active.is_empty() {
@@ -1129,9 +1070,6 @@ impl Engine {
                     }
                     alloc = decided;
                     applied = true;
-                    // Every segment was re-based; queued finish-time
-                    // predictions are stale.
-                    self.evq.mark_dirty();
                 }
             }
 
@@ -1149,15 +1087,11 @@ impl Engine {
 
             // Quiescent skip-ahead (EventsOnly only; under EverySlice the
             // policy must run at every boundary).
-            if self.config.mode != EngineMode::NaiveSlice
+            if self.config.mode == EngineMode::SkipAhead
                 && self.config.reschedule == Reschedule::EventsOnly
             {
                 let sample_due = self.config.sample_interval.map(|_| next_sample);
-                let target = if self.config.mode == EngineMode::EventDriven {
-                    self.event_target(idx, speed, delta, sample_due)
-                } else {
-                    self.skip_target(idx, speed, delta, sample_due)
-                };
+                let target = self.skip_target(idx, speed, delta, sample_due);
                 if target > idx {
                     tracer.emit(now, || TraceEvent::SkipAhead {
                         from_slice: idx,
@@ -1268,19 +1202,11 @@ impl Engine {
                 needs_schedule = true;
                 upgrade_cause(&mut pending_cause, RescheduleCause::Completion);
             }
-            if !completed.is_empty() {
-                // Completion entries were consumed and the active set
-                // changed shape.
-                self.evq.mark_dirty();
-            }
             completed.clear();
             self.completed_scratch = completed;
             if raw_exhausted {
                 needs_schedule = true;
                 upgrade_cause(&mut pending_cause, RescheduleCause::RawExhausted);
-                // The exhaust entry that predicted this transition was
-                // consumed.
-                self.evq.mark_dirty();
             }
 
             // Timeline sample (before advancing, attributed to this slice).
@@ -1402,18 +1328,8 @@ impl Engine {
         });
     }
 
-    /// Materialize every active flow's state at boundary `idx`. Each flow's
-    /// update reads and writes only that flow, so with enough active flows
-    /// the pass fans out across the shard pool; being purely element-wise,
-    /// the result is identical to the serial loop for any worker count.
+    /// Materialize every active flow's state at boundary `idx`.
     fn materialize_all(&mut self, idx: u64, speed: f64, delta: f64) {
-        if self.workers > 1 && self.active.len() >= self.config.shard_threshold.max(1) {
-            crate::shard::for_each_mut(&mut self.active, self.workers, |af| {
-                let n = idx - af.seg;
-                af.materialize(n, speed, delta);
-            });
-            return;
-        }
         for af in &mut self.active {
             let n = idx - af.seg;
             af.materialize(n, speed, delta);
@@ -1492,155 +1408,6 @@ impl Engine {
                 return idx;
             }
             match first_slice_satisfying(b / delta, idx, |j| b <= j as f64 * delta + 1e-12) {
-                Some(j) => target = target.min(j),
-                None => return idx,
-            }
-        }
-        // Horizon: the loop breaks after processing slice j when
-        // (j+1)·δ > max_time; that slice must be processed naively.
-        let mt = self.config.max_time;
-        if (idx + 1) as f64 * delta > mt {
-            return idx;
-        }
-        match first_slice_satisfying(mt / delta, idx, |j| (j + 1) as f64 * delta > mt) {
-            Some(j) => target = target.min(j),
-            None => return idx,
-        }
-        if target == u64::MAX {
-            idx
-        } else {
-            target.max(idx)
-        }
-    }
-
-    /// Rebuild the event heap at boundary `idx`: one entry per predicted
-    /// flow completion / raw exhaustion, plus the next admission and the
-    /// next fault boundary. Every entry is computed by the exact closed-form
-    /// search [`Self::skip_target`] runs, and none of the computed targets
-    /// depends on `idx` (each is the unique minimal crossing slice of a
-    /// monotone predicate over unchanged segment state), so the entries
-    /// stay valid at every later boundary until [`EventQueue::mark_dirty`]
-    /// is called. Returns `false` — leaving the queue dirty — whenever
-    /// `skip_target` would have refused to skip (`first_slice_satisfying`
-    /// non-convergence, an already-complete transmitting flow, a fault
-    /// boundary due now); the caller then advances naively, which is always
-    /// safe.
-    fn rebuild_events(&mut self, idx: u64, speed: f64, delta: f64) -> bool {
-        self.evq.rebuilds += 1;
-        let mut heap = std::mem::take(&mut self.evq.heap);
-        heap.clear();
-        let mut any_progress = false;
-        let mut ok = true;
-        for af in &self.active {
-            let n0 = idx - af.seg;
-            if af.cmd.compress {
-                if speed <= 0.0 || af.raw_at(n0, speed, delta) <= VOLUME_EPS {
-                    continue;
-                }
-                any_progress = true;
-                let est = (af.base_raw - VOLUME_EPS) / (speed * delta);
-                let found =
-                    first_slice_satisfying(est, n0, |n| af.raw_at(n, speed, delta) <= VOLUME_EPS);
-                match found {
-                    Some(n) => {
-                        heap.push(Reverse((af.seg + n - 1, af.p.spec.id.0, evq::KIND_EXHAUST)))
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            } else if af.cmd.rate > 0.0 {
-                if af.volume_at(n0, speed, delta) <= VOLUME_EPS {
-                    // Already complete (exotic command sequence); the naive
-                    // path retires it this slice, so don't skip over that.
-                    ok = false;
-                    break;
-                }
-                any_progress = true;
-                let est = (af.base_raw + af.base_compressed - VOLUME_EPS) / (af.cmd.rate * delta);
-                let found = first_slice_satisfying(est, n0, |n| {
-                    af.volume_at(n, speed, delta) <= VOLUME_EPS
-                });
-                match found {
-                    Some(n) => heap.push(Reverse((
-                        af.seg + n - 1,
-                        af.p.spec.id.0,
-                        evq::KIND_COMPLETE,
-                    ))),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if ok {
-            if let Some(c) = self.pending.last() {
-                let arr = c.arrival;
-                let est = (arr - 1e-12) / delta;
-                match first_slice_satisfying(est, idx, |b| arr <= b as f64 * delta + 1e-12) {
-                    Some(b) => heap.push(Reverse((b, evq::NO_FLOW, evq::KIND_ARRIVAL))),
-                    None => ok = false,
-                }
-            }
-        }
-        if ok {
-            if let Some(b) = self.next_fault {
-                if b <= idx as f64 * delta + 1e-12 {
-                    ok = false;
-                } else {
-                    match first_slice_satisfying(b / delta, idx, |j| b <= j as f64 * delta + 1e-12)
-                    {
-                        Some(j) => heap.push(Reverse((j, evq::NO_FLOW, evq::KIND_FAULT))),
-                        None => ok = false,
-                    }
-                }
-            }
-        }
-        self.evq.heap = heap;
-        if ok {
-            self.evq.any_progress = any_progress;
-            self.evq.dirty = false;
-        }
-        ok
-    }
-
-    /// Event-driven counterpart of [`Self::skip_target`]: rebuild the heap
-    /// if dirty, then combine an `O(1)` peek at the earliest queued boundary
-    /// with the two per-call bounds (`skip_target`'s sample and horizon
-    /// clauses, verbatim). Clause-by-clause this returns exactly what
-    /// `skip_target` returns at every boundary the event-driven run visits
-    /// — see [`crate::evq`] for the argument — so the two modes retire,
-    /// reschedule and sample at identical instants.
-    fn event_target(&mut self, idx: u64, speed: f64, delta: f64, next_sample: Option<f64>) -> u64 {
-        if self.evq.dirty {
-            let started = self
-                .config
-                .telemetry
-                .as_deref()
-                .is_some_and(Telemetry::is_active)
-                .then(Instant::now);
-            let ok = self.rebuild_events(idx, speed, delta);
-            if let (Some(t), Some(s)) = (self.config.telemetry.as_deref(), started) {
-                t.record_phase(Phase::EventQueue, s.elapsed());
-            }
-            if !ok {
-                return idx;
-            }
-        }
-        if !self.evq.any_progress && self.pending.is_empty() {
-            // The stall counter must tick slice-by-slice towards termination.
-            return idx;
-        }
-        let mut target = self.evq.peek_slice().unwrap_or(u64::MAX);
-        // Next timeline sample (taken while processing slice j with
-        // j·δ ≥ next_sample).
-        if let Some(ns) = next_sample {
-            if idx as f64 * delta >= ns {
-                return idx;
-            }
-            match first_slice_satisfying(ns / delta, idx, |j| j as f64 * delta >= ns) {
                 Some(j) => target = target.min(j),
                 None => return idx,
             }
@@ -1989,9 +1756,6 @@ impl Engine {
             } else {
                 0.0
             },
-            evq_depth: self.evq.heap.len() as u64,
-            evq_dirty_marks: self.evq.dirty_marks,
-            evq_rebuilds: self.evq.rebuilds,
             bytes_on_wire,
             bytes_saved,
             reschedules: reschedules as u64,
@@ -2642,8 +2406,12 @@ mod fast_path_tests {
             .with_sampling(0.5);
         let fast = Engine::new(fabric.clone(), staggered_trace(), cfg.clone())
             .run(&mut FairSharePolicy::default());
-        let naive = Engine::new(fabric, staggered_trace(), cfg.without_skip_ahead())
-            .run(&mut FairSharePolicy::default());
+        let naive = Engine::new(
+            fabric,
+            staggered_trace(),
+            cfg.with_mode(EngineMode::NaiveSlice),
+        )
+        .run(&mut FairSharePolicy::default());
         assert!(fast.all_complete());
         assert_bit_identical(&fast, &naive);
     }
@@ -2651,13 +2419,9 @@ mod fast_path_tests {
     #[test]
     fn streamed_arrivals_match_materialized_trace() {
         // A stream-fed engine must reproduce the materialized run bit for
-        // bit, in every time-advance mode.
+        // bit, in both time-advance modes.
         let fabric = Fabric::uniform(3, 100.0);
-        for mode in [
-            EngineMode::NaiveSlice,
-            EngineMode::SkipAhead,
-            EngineMode::EventDriven,
-        ] {
+        for mode in [EngineMode::NaiveSlice, EngineMode::SkipAhead] {
             let cfg = SimConfig::default()
                 .with_slice(0.01)
                 .with_reschedule(Reschedule::EventsOnly)
@@ -2794,8 +2558,12 @@ mod fast_path_tests {
             .with_compression(spec);
         let fast =
             Engine::new(fabric.clone(), staggered_trace(), cfg.clone()).run(&mut CompressThenSend);
-        let naive = Engine::new(fabric, staggered_trace(), cfg.without_skip_ahead())
-            .run(&mut CompressThenSend);
+        let naive = Engine::new(
+            fabric,
+            staggered_trace(),
+            cfg.with_mode(EngineMode::NaiveSlice),
+        )
+        .run(&mut CompressThenSend);
         assert!(fast.all_complete());
         assert_bit_identical(&fast, &naive);
     }
@@ -3150,8 +2918,12 @@ mod trace_tests {
             .with_faults(plan.injector());
         let fast = Engine::new(fabric.clone(), staggered_trace(), cfg.clone())
             .run(&mut FairSharePolicy::default());
-        let naive = Engine::new(fabric, staggered_trace(), cfg.without_skip_ahead())
-            .run(&mut FairSharePolicy::default());
+        let naive = Engine::new(
+            fabric,
+            staggered_trace(),
+            cfg.with_mode(EngineMode::NaiveSlice),
+        )
+        .run(&mut FairSharePolicy::default());
         assert!(fast.all_complete());
         assert_bit_identical(&fast, &naive);
     }

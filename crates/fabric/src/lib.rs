@@ -45,14 +45,12 @@ pub mod coflow;
 pub mod cpu;
 pub mod engine;
 pub mod event;
-mod evq;
 pub mod flow;
 pub mod fx;
 pub mod ids;
 pub mod policy;
 pub mod port;
 pub mod sample;
-pub mod shard;
 pub mod units;
 pub mod view;
 

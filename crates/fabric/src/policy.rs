@@ -58,16 +58,6 @@ pub trait Policy {
         let _ = tracer;
     }
 
-    /// Hand the policy the engine's resolved worker budget and shard
-    /// threshold so shardable inner loops (e.g. the water-fill binding-port
-    /// scan) can fan out. Called once at the start of
-    /// [`crate::Engine::run`], before any `allocate`. Implementations must
-    /// keep results bit-identical for every worker count; the default
-    /// ignores the hint, which is always correct.
-    fn set_parallelism(&mut self, workers: usize, shard_threshold: usize) {
-        let _ = (workers, shard_threshold);
-    }
-
     /// Hand the policy the engine's telemetry collector (see
     /// [`swallow_metrics::Telemetry`]) so scheduler-internal phases — the
     /// water-fill scan above all — can feed the phase profiler. Called once
@@ -83,7 +73,7 @@ pub trait Policy {
 /// Per-flow max-min fair sharing with no compression — the network-layer
 /// default the paper calls PFF when discussed per flow. Kept here as the
 /// engine's reference policy. Holds a [`WaterFillScratch`] so repeated
-/// allocations reuse buffers and honor the engine's parallelism hint.
+/// allocations reuse buffers.
 #[derive(Debug, Default, Clone)]
 pub struct FairSharePolicy {
     fill: WaterFillScratch,
@@ -104,10 +94,6 @@ impl Policy for FairSharePolicy {
             }
         }
         alloc
-    }
-
-    fn set_parallelism(&mut self, workers: usize, shard_threshold: usize) {
-        self.fill.set_parallelism(workers, shard_threshold);
     }
 }
 

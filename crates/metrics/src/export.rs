@@ -79,24 +79,6 @@ pub fn prometheus(snap: &TelemetrySnapshot) -> String {
             "Compression cores in use over total.",
             s.cpu_occupancy,
         );
-        gauge(
-            &mut out,
-            "event_queue_depth",
-            "Entries in the event queue.",
-            s.evq_depth as f64,
-        );
-        counter(
-            &mut out,
-            "event_queue_dirty_marks_total",
-            "Dirty marks on the event queue.",
-            s.evq_dirty_marks as f64,
-        );
-        counter(
-            &mut out,
-            "event_queue_rebuilds_total",
-            "Event-queue rebuilds.",
-            s.evq_rebuilds as f64,
-        );
         counter(
             &mut out,
             "bytes_on_wire_gb_total",
@@ -310,7 +292,7 @@ pub fn html_dashboard(title: &str, snap: &TelemetrySnapshot) -> String {
     let series = |f: fn(&TelemetrySample) -> f64| -> Vec<(f64, f64)> {
         snap.samples.iter().map(|s| (s.time, f(s))).collect()
     };
-    let sparks: [(&str, Vec<(f64, f64)>); 8] = [
+    let sparks: [(&str, Vec<(f64, f64)>); 7] = [
         ("network utilization", series(|s| s.net_util)),
         ("mean port utilization", series(|s| s.mean_port_util)),
         ("active coflows", series(|s| s.active_coflows as f64)),
@@ -319,7 +301,6 @@ pub fn html_dashboard(title: &str, snap: &TelemetrySnapshot) -> String {
             series(|s| s.transmitting_flows as f64),
         ),
         ("compression-CPU occupancy", series(|s| s.cpu_occupancy)),
-        ("event-queue depth", series(|s| s.evq_depth as f64)),
         (
             "bytes on wire (Gb, cumulative)",
             series(|s| s.bytes_on_wire),
@@ -422,9 +403,6 @@ mod tests {
             busy_ports: 3,
             port_util_hist: [1, 0, 2, 0, 0, 0, 0, 0, 0, 1],
             cpu_occupancy: 0.25,
-            evq_depth: 4,
-            evq_dirty_marks: 2,
-            evq_rebuilds: 1,
             bytes_on_wire: 1.5,
             bytes_saved: 0.3,
             reschedules: idx,

@@ -89,9 +89,6 @@ mod tests {
             busy_ports: 0,
             port_util_hist: [0; PORT_UTIL_BUCKETS],
             cpu_occupancy: 0.0,
-            evq_depth: 0,
-            evq_dirty_marks: 0,
-            evq_rebuilds: 0,
             bytes_on_wire: 0.0,
             bytes_saved: 0.0,
             reschedules: 0,

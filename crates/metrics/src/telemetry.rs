@@ -43,19 +43,16 @@ pub enum Phase {
     WaterFill,
     /// Bulk segment materialization before a reschedule.
     Materialize,
-    /// Event-queue maintenance: rebuilds after dirty marks.
-    EventQueue,
     /// Fault/invariant hooks at slice boundaries.
     Hooks,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 5] = [
+    pub const ALL: [Phase; 4] = [
         Phase::Schedule,
         Phase::WaterFill,
         Phase::Materialize,
-        Phase::EventQueue,
         Phase::Hooks,
     ];
 
@@ -65,7 +62,6 @@ impl Phase {
             Phase::Schedule => "schedule",
             Phase::WaterFill => "water_fill",
             Phase::Materialize => "materialize",
-            Phase::EventQueue => "event_queue",
             Phase::Hooks => "hooks",
         }
     }
@@ -105,12 +101,6 @@ pub struct TelemetrySample {
     /// Compression cores in use over total cores (0 when cores are
     /// unlimited and idle).
     pub cpu_occupancy: f64,
-    /// Event-queue entries (0 outside `EngineMode::EventDriven`).
-    pub evq_depth: u64,
-    /// Cumulative dirty marks on the event queue.
-    pub evq_dirty_marks: u64,
-    /// Cumulative event-queue rebuilds.
-    pub evq_rebuilds: u64,
     /// Cumulative bytes put on the wire (post-compression), Gb.
     pub bytes_on_wire: f64,
     /// Cumulative bytes saved by compression, Gb.
@@ -348,9 +338,6 @@ mod tests {
             busy_ports: 4,
             port_util_hist: [0; PORT_UTIL_BUCKETS],
             cpu_occupancy: 0.5,
-            evq_depth: 7,
-            evq_dirty_marks: 1,
-            evq_rebuilds: 1,
             bytes_on_wire: 2.0,
             bytes_saved: 0.5,
             reschedules: idx,

@@ -1,10 +1,9 @@
-//! Differential replay: one workload, five engine legs, zero tolerance.
+//! Differential replay: one workload, three engine legs, zero tolerance.
 //!
 //! The engine promises that the naive slice-by-slice loop, the quiescent
-//! skip-ahead fast path, the event-driven heap path (serial and sharded),
-//! and the faults-enabled path under an *empty* [`FaultPlan`] all produce
-//! **bit-identical** results. This module replays a workload through all
-//! five and diffs every outcome — per-flow
+//! skip-ahead fast path and the faults-enabled path under an *empty*
+//! [`FaultPlan`] all produce **bit-identical** results. This module replays
+//! a workload through all three and diffs every outcome — per-flow
 //! completion times, wire bytes, compressor input, per-coflow CCTs, the
 //! makespan and the reschedule count — at the `f64::to_bits` level. Any
 //! mismatch is a semantic regression in one of the paths, found without
@@ -26,8 +25,7 @@ const MAX_MISMATCHES: usize = 20;
 /// Invariant verdict of one replay leg.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct LegReport {
-    /// Leg label: `skip_ahead`, `naive`, `event`, `event_sharded` or
-    /// `empty_faults`.
+    /// Leg label: `skip_ahead`, `naive` or `empty_faults`.
     pub leg: String,
     /// Slice boundaries the checker observed.
     pub boundaries: u64,
@@ -62,12 +60,11 @@ impl DifferentialOutcome {
     }
 }
 
-/// Replay `coflows` through five engine legs (skip-ahead, naive,
-/// event-driven, event-driven with forced sharding, empty-fault-plan) and
-/// diff the outcomes.
+/// Replay `coflows` through three engine legs (skip-ahead, naive,
+/// empty-fault-plan) and diff the outcomes.
 ///
 /// `base` supplies slice length, compression, CPU model and rescheduling
-/// cadence; its `skip_ahead`, `faults` and `check` fields are overridden per
+/// cadence; its `mode`, `faults` and `check` fields are overridden per
 /// leg (use [`swallow_fabric::engine::Reschedule::EventsOnly`] — under
 /// `EverySlice` the fast path never skips, so the comparison is vacuous).
 /// `make_policy` must build a *fresh* policy per call: policies are stateful.
@@ -103,15 +100,7 @@ pub fn differential_replay(
     };
 
     let fast = run("skip_ahead", &|c| c.with_mode(EngineMode::SkipAhead));
-    let naive = run("naive", &|c| c.without_skip_ahead());
-    let event = run("event", &|c| c.with_mode(EngineMode::EventDriven));
-    // Force the sharded passes on (threshold 0, two workers) so this leg
-    // exercises the scoped-thread fan-out even on tiny workloads.
-    let event_sharded = run("event_sharded", &|c| {
-        c.with_mode(EngineMode::EventDriven)
-            .with_threads(2)
-            .with_shard_threshold(0)
-    });
+    let naive = run("naive", &|c| c.with_mode(EngineMode::NaiveSlice));
     let faulted = run("empty_faults", &|c| {
         c.with_mode(EngineMode::SkipAhead)
             .with_faults(FaultPlan::new().injector())
@@ -119,14 +108,6 @@ pub fn differential_replay(
 
     let mut mismatches = Vec::new();
     diff_results("skip_ahead", &fast, "naive", &naive, &mut mismatches);
-    diff_results("skip_ahead", &fast, "event", &event, &mut mismatches);
-    diff_results(
-        "skip_ahead",
-        &fast,
-        "event_sharded",
-        &event_sharded,
-        &mut mismatches,
-    );
     diff_results(
         "skip_ahead",
         &fast,

@@ -237,7 +237,7 @@ mod tests {
             || Algorithm::Fvdf.make(),
         );
         assert!(outcome.result.all_complete());
-        assert_eq!(outcome.legs.len(), 5, "five legs, each with a checker");
+        assert_eq!(outcome.legs.len(), 3, "three legs, each with a checker");
         assert!(
             outcome.is_clean(),
             "mismatches: {:?}, legs: {:?}",

@@ -419,10 +419,6 @@ impl Policy for SampledPolicy {
         self.inner.set_tracer(tracer);
     }
 
-    fn set_parallelism(&mut self, workers: usize, shard_threshold: usize) {
-        self.inner.set_parallelism(workers, shard_threshold);
-    }
-
     fn set_telemetry(&mut self, telemetry: Option<Arc<Telemetry>>) {
         self.telemetry = telemetry.clone();
         self.inner.set_telemetry(telemetry);

@@ -162,7 +162,7 @@ pub enum TraceEvent {
 
     // ---- swallow-oracle correctness checks ----
     /// The online invariant checker caught a violation at a slice boundary
-    /// (`invariant` is the stable [`swallow-oracle`] invariant name; `flow`
+    /// (`invariant` is the stable `swallow-oracle` invariant name; `flow`
     /// and `node` identify the offender when the invariant is per-flow or
     /// per-port).
     InvariantViolated {

@@ -255,7 +255,7 @@ impl Iterator for CoflowIter {
 /// 1 ms slice: flows of 40–120 MB each serve in roughly 0.3–1 s while
 /// coflows arrive once per second on average, so the naive loop walks
 /// hundreds of quiescent slice boundaries per observable event — exactly
-/// the gap the skip-ahead and event-driven modes close. Widths are kept
+/// the gap the skip-ahead mode closes. Widths are kept
 /// at 1–3 flows so the live-flow count stays small and wall-clock scales
 /// with the *event* count, not the port count. Fully deterministic: same
 /// `(n_coflows, n_ports)` always yields the same trace (override

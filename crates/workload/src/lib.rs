@@ -24,7 +24,7 @@
 //! * [`source`] — the [`WorkloadSource`] trait unifying synthetic generators
 //!   and imported trace files behind one streaming API;
 //! * [`trace`] — the in-memory [`Trace`] container and its JSON/CSV forms
-//!   (construct via [`TraceFile`], not the deprecated `Trace::from_*`);
+//!   (parsed via [`TraceFile`]);
 //! * [`error`] — [`WorkloadError`], the structured error type every
 //!   ingestion path returns.
 

@@ -8,9 +8,7 @@
 //! via [`HibenchSource`]) stream straight out of their RNG state; imported
 //! traces stream from disk ([`TraceFile`]), with the Facebook benchmark
 //! format never materialized (see [`crate::fb`]). An in-memory [`Trace`] is
-//! itself a source, so older call sites keep working after the direct
-//! `Trace::from_json` / `Trace::from_csv` constructors were deprecated in
-//! favor of this API.
+//! itself a source.
 
 use crate::error::WorkloadError;
 use crate::fb::{FbHeader, MachineMap, StreamingTrace};

@@ -124,16 +124,6 @@ impl Trace {
         serde_json::to_string_pretty(self).expect("trace serializes")
     }
 
-    /// Parse from JSON.
-    #[deprecated(
-        since = "0.8.0",
-        note = "construct traces through `swallow_workload::source::TraceFile` \
-                (the `WorkloadSource` API) instead"
-    )]
-    pub fn from_json(s: &str) -> Result<Trace, TraceError> {
-        parse_json(s)
-    }
-
     /// Serialize to the flow-per-row CSV format (with header). The
     /// `deadline` column appears only when some coflow has one, so
     /// deadline-free traces serialize exactly as they always have.
@@ -161,27 +151,15 @@ impl Trace {
         }
         out
     }
-
-    /// Parse the CSV format (header optional). `num_nodes` is inferred from
-    /// the largest node index.
-    #[deprecated(
-        since = "0.8.0",
-        note = "construct traces through `swallow_workload::source::TraceFile` \
-                (the `WorkloadSource` API) instead"
-    )]
-    pub fn from_csv(name: impl Into<String>, s: &str) -> Result<Trace, TraceError> {
-        parse_csv(name, s)
-    }
 }
 
-/// JSON parse shared by the deprecated `Trace::from_json` shim and
-/// [`crate::source::TraceFile`].
+/// JSON parse behind [`crate::source::TraceFile`].
 pub(crate) fn parse_json(s: &str) -> Result<Trace, TraceError> {
     serde_json::from_str(s).map_err(|e| TraceError::Json(e.to_string()))
 }
 
-/// CSV parse shared by the deprecated `Trace::from_csv` shim and
-/// [`crate::source::TraceFile`].
+/// CSV parse behind [`crate::source::TraceFile`] (header optional).
+/// `num_nodes` is inferred from the largest node index.
 pub(crate) fn parse_csv(name: impl Into<String>, s: &str) -> Result<Trace, TraceError> {
     use std::collections::BTreeMap;
     let mut groups: BTreeMap<u64, (f64, Option<f64>, Vec<FlowSpec>)> = BTreeMap::new();

@@ -7,11 +7,11 @@
 //! 2. **Rejected coflows never touch the fabric** — neither via
 //!    [`AdmissionController::filter`] + [`Engine`] nor through the
 //!    end-to-end [`CoflowService`]: the result set contains exactly the
-//!    admitted ids.
+//!    admitted ids — and the service's result is the batch replay of the
+//!    admitted coflows, to the bit.
 //! 3. **Deadline-aware FVDF is conservative** — on deadline-less
-//!    workloads, `FVDF-D` reproduces clairvoyant FVDF bit-exactly across
-//!    all four engine configurations (naive slice, skip-ahead,
-//!    event-driven, event-driven sharded).
+//!    workloads, `FVDF-D` reproduces clairvoyant FVDF bit-exactly in both
+//!    engine configurations (naive slice, skip-ahead).
 //!
 //! The fixed-seed `#[test]` cases carry the real coverage; the `proptest!`
 //! block widens the seed space when the full dependency set is available.
@@ -90,8 +90,7 @@ fn check_rejected_never_simulated(seed: u64) {
         kept,
         SimConfig::default()
             .with_slice(0.01)
-            .with_reschedule(Reschedule::EventsOnly)
-            .with_mode(EngineMode::EventDriven),
+            .with_reschedule(Reschedule::EventsOnly),
     )
     .run(policy.as_mut());
     let simulated: BTreeSet<u64> = res.coflows.iter().map(|c| c.id.0).collect();
@@ -106,38 +105,55 @@ fn check_rejected_never_simulated(seed: u64) {
     }
 }
 
-/// Property 2b: the same exclusion holds end-to-end through the service.
+/// Property 2b: the same exclusion holds end-to-end through the service,
+/// and what the service simulated is exactly the batch replay of the
+/// admitted coflows — same engine path, same records, to the bit.
 fn check_rejected_never_simulated_via_service(seed: u64) {
     let (coflows, fabric) = deadline_workload(seed, 25, 8);
     let mut svc = CoflowService::builder()
-        .fabric(fabric)
+        .fabric(fabric.clone())
         .algorithm(Algorithm::FvdfDeadline)
         .build()
         .expect("service starts");
-    let mut admitted_ids = BTreeSet::new();
-    let mut rejected_ids = BTreeSet::new();
+    let mut admitted = Vec::new();
+    let mut rejected = 0usize;
     for c in coflows {
-        let id = c.id.0;
-        let verdict = svc.submit(c).expect("submit succeeds");
+        let verdict = svc.submit(c.clone()).expect("submit succeeds");
         if verdict.admitted {
-            admitted_ids.insert(id);
+            admitted.push(c);
         } else {
-            rejected_ids.insert(id);
+            rejected += 1;
         }
     }
-    assert!(!rejected_ids.is_empty(), "no rejections to check (seed {seed})");
+    assert!(rejected > 0, "no rejections to check (seed {seed})");
     let report = svc.finish().expect("service drains");
-    assert_eq!(report.admitted as usize, admitted_ids.len());
-    assert_eq!(report.rejected as usize, rejected_ids.len());
+    assert_eq!(report.admitted as usize, admitted.len());
+    assert_eq!(report.rejected as usize, rejected);
     let simulated: BTreeSet<u64> = report.result.coflows.iter().map(|c| c.id.0).collect();
+    let admitted_ids: BTreeSet<u64> = admitted.iter().map(|c| c.id.0).collect();
     assert_eq!(
         simulated, admitted_ids,
         "service simulated a rejected coflow (seed {seed})"
     );
+
+    let mut policy = Algorithm::FvdfDeadline.make();
+    let batch = Engine::new(
+        fabric,
+        admitted,
+        SimConfig::default()
+            .with_slice(0.01) // the service builder's default slice
+            .with_reschedule(Reschedule::EventsOnly),
+    )
+    .run(policy.as_mut());
+    let live = &report.result;
+    assert_eq!(live.flows, batch.flows, "flow records (seed {seed})");
+    assert_eq!(live.coflows, batch.coflows, "coflow records (seed {seed})");
+    assert_eq!(live.makespan.to_bits(), batch.makespan.to_bits());
+    assert_eq!(live.reschedules, batch.reschedules);
 }
 
-/// Property 3: on deadline-less input, FVDF-D ≡ FVDF to the bit, across
-/// all four engine configurations.
+/// Property 3: on deadline-less input, FVDF-D ≡ FVDF to the bit, in both
+/// engine configurations.
 fn check_deadline_aware_fvdf_is_conservative(seed: u64) {
     let mut cfg = scale(20, 8);
     cfg.seed = seed;
@@ -153,15 +169,7 @@ fn check_deadline_aware_fvdf_is_conservative(seed: u64) {
         .with_compression(comp);
     let configs = [
         ("naive", base.clone().with_mode(EngineMode::NaiveSlice)),
-        ("skip_ahead", base.clone().with_mode(EngineMode::SkipAhead)),
-        ("event", base.clone().with_mode(EngineMode::EventDriven)),
-        (
-            "event_sharded",
-            base.clone()
-                .with_mode(EngineMode::EventDriven)
-                .with_threads(2)
-                .with_shard_threshold(0),
-        ),
+        ("skip_ahead", base.with_mode(EngineMode::SkipAhead)),
     ];
     for (leg, config) in configs {
         let run = |alg: Algorithm| {
@@ -231,7 +239,7 @@ proptest! {
         check_rejected_never_simulated(seed);
     }
 
-    /// Randomized seeds: FVDF-D ≡ FVDF on deadline-less traces, all modes.
+    /// Randomized seeds: FVDF-D ≡ FVDF on deadline-less traces, both modes.
     #[test]
     fn deadline_aware_conservative_on_random_seeds(seed in 0u64..1_000_000) {
         check_deadline_aware_fvdf_is_conservative(seed);

@@ -84,7 +84,7 @@ fn replay(slice: f64) -> SimResult {
         SimConfig::default()
             .with_slice(slice)
             .with_reschedule(Reschedule::EventsOnly)
-            .without_skip_ahead()
+            .with_mode(EngineMode::NaiveSlice)
             // An explicitly disabled tracer must stay zero-cost: every
             // emission site reduces to one branch and the event-constructor
             // closures never run, so the allocation counts below are

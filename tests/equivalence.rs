@@ -43,7 +43,7 @@ fn run(
         .with_slice(0.01)
         .with_reschedule(reschedule);
     if !skip_ahead {
-        config = config.without_skip_ahead();
+        config = config.with_mode(EngineMode::NaiveSlice);
     }
     if let Some(c) = compression {
         config = config.with_compression(c);

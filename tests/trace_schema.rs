@@ -277,7 +277,7 @@ fn skip_ahead_emits_the_same_semantic_events_as_slice_by_slice() {
             .with_reschedule(Reschedule::EventsOnly)
             .with_tracer(Tracer::with_sink(sink.clone()));
         if !skip {
-            cfg = cfg.without_skip_ahead();
+            cfg = cfg.with_mode(EngineMode::NaiveSlice);
         }
         let mut policy = Algorithm::Fvdf.make();
         let res =
