@@ -4,7 +4,7 @@
 //! (uncompressed raw part `d` plus already-compressed part `D`). A slice of
 //! compression converts raw bytes into fewer compressed bytes; a slice of
 //! transmission drains bytes onto the wire. [`FlowProgress`] tracks both
-//! parts so the engine can apply either disposal path.
+//! parts; the engine advances them through its closed-form segments.
 
 use crate::ids::{CoflowId, FlowId, NodeId};
 use crate::VOLUME_EPS;
@@ -64,10 +64,6 @@ pub struct FlowProgress {
     pub wire_bytes: f64,
     /// Raw bytes that went through the compressor (input side).
     pub compressed_input: f64,
-    /// Completion time, set once volume reaches zero.
-    pub completed_at: Option<f64>,
-    /// Compression decision currently in force (β in the paper).
-    pub beta: bool,
 }
 
 impl FlowProgress {
@@ -82,8 +78,6 @@ impl FlowProgress {
             compressed: 0.0,
             wire_bytes: 0.0,
             compressed_input: 0.0,
-            completed_at: None,
-            beta: false,
         }
     }
 
@@ -98,63 +92,6 @@ impl FlowProgress {
     pub fn is_complete(&self) -> bool {
         self.volume() <= VOLUME_EPS
     }
-
-    /// Apply `dt` seconds of compression at input speed `speed` (bytes of raw
-    /// consumed per second) and output ratio `ratio` (compressed size /
-    /// original size). Returns the raw bytes actually consumed, which is
-    /// capped by the raw part still available.
-    ///
-    /// Volume shrinks by `consumed · (1 − ratio)` — exactly Eq. (1) with
-    /// `consumed = R·δ` when not capped.
-    pub fn compress_for(&mut self, dt: f64, speed: f64, ratio: f64) -> f64 {
-        debug_assert!((0.0..=1.0).contains(&ratio), "ratio must be in [0,1]");
-        let consumed = (speed * dt).min(self.raw);
-        self.raw -= consumed;
-        self.compressed += consumed * ratio;
-        self.compressed_input += consumed;
-        consumed
-    }
-
-    /// Apply `dt` seconds of transmission at `rate` bytes per second.
-    /// Compressed bytes drain first (they are already sitting in the send
-    /// buffer); any leftover rate sends raw bytes directly. Returns the bytes
-    /// put on the wire.
-    pub fn transmit_for(&mut self, dt: f64, rate: f64) -> f64 {
-        let budget = rate * dt;
-        let from_compressed = budget.min(self.compressed);
-        self.compressed -= from_compressed;
-        let from_raw = (budget - from_compressed).min(self.raw);
-        self.raw -= from_raw;
-        let sent = from_compressed + from_raw;
-        self.wire_bytes += sent;
-        sent
-    }
-
-    /// Time until this flow would complete if the current command
-    /// (compression at `(speed, ratio)` when β, else transmission at `rate`)
-    /// stays in force — used by the engine to stamp sub-slice completion
-    /// times. Returns `f64::INFINITY` when no progress is possible.
-    pub fn eta(&self, rate: f64, speed: f64, ratio: f64) -> f64 {
-        if self.is_complete() {
-            return 0.0;
-        }
-        if self.beta {
-            // Compression alone cannot complete a flow (output still needs
-            // transmitting) unless ratio is 0; report the raw-exhaustion time.
-            if speed <= 0.0 {
-                return f64::INFINITY;
-            }
-            if ratio <= 0.0 {
-                return self.raw / speed;
-            }
-            f64::INFINITY
-        } else {
-            if rate <= 0.0 {
-                return f64::INFINITY;
-            }
-            self.volume() / rate
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,63 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn transmit_drains_volume() {
-        let mut p = prog(100.0);
-        let sent = p.transmit_for(1.0, 30.0);
-        assert_eq!(sent, 30.0);
-        assert_eq!(p.volume(), 70.0);
-        assert!(!p.is_complete());
-        p.transmit_for(10.0, 30.0);
-        assert!(p.is_complete());
-        // No overshoot: wire bytes equal original size.
-        assert!((p.wire_bytes - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compression_shrinks_volume_by_eq1() {
-        let mut p = prog(100.0);
-        // speed 10 B/s, ratio 0.4: one second converts 10 raw → 4 compressed.
-        let consumed = p.compress_for(1.0, 10.0, 0.4);
-        assert_eq!(consumed, 10.0);
-        assert!((p.volume() - (90.0 + 4.0)).abs() < 1e-9);
-        // Δc = R·δ·(1−ξ) = 10·1·0.6 = 6.
-        assert!((100.0 - p.volume() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compression_capped_by_raw() {
-        let mut p = prog(5.0);
-        let consumed = p.compress_for(1.0, 10.0, 0.5);
-        assert_eq!(consumed, 5.0);
-        assert_eq!(p.raw, 0.0);
-        assert_eq!(p.compressed, 2.5);
-    }
-
-    #[test]
-    fn transmit_prefers_compressed_bytes() {
-        let mut p = prog(10.0);
-        p.compress_for(1.0, 4.0, 0.5); // raw 6, compressed 2
-        let sent = p.transmit_for(1.0, 3.0);
-        assert_eq!(sent, 3.0);
-        assert_eq!(p.compressed, 0.0);
-        assert_eq!(p.raw, 5.0);
-    }
-
-    #[test]
-    fn eta_matches_transmission_time() {
-        let mut p = prog(100.0);
-        p.beta = false;
-        assert!((p.eta(25.0, 0.0, 0.0) - 4.0).abs() < 1e-9);
-        p.beta = true;
-        assert_eq!(p.eta(25.0, 10.0, 0.5), f64::INFINITY);
-        assert!((p.eta(0.0, 10.0, 0.0) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_sized_flow_is_complete_immediately() {
-        let p = prog(0.0);
-        assert!(p.is_complete());
-        assert_eq!(p.eta(1.0, 1.0, 0.5), 0.0);
+        assert!(prog(0.0).is_complete());
     }
 
     #[test]

@@ -116,10 +116,7 @@ mod tests {
         // The transparent-newtype JSON encoding is the subject; the offline
         // stub serializer renders everything as `{}`, so the property only
         // exists under a real toolchain.
-        if serde_json::from_str::<u64>("3").is_err() {
-            eprintln!("skipping ids_serde_roundtrip: stub serde_json in this toolchain");
-            return;
-        }
+        swallow_metrics::skip_if_stub!();
         let f = FlowId(42);
         let s = serde_json::to_string(&f).unwrap();
         assert_eq!(s, "42");

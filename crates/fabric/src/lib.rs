@@ -40,32 +40,28 @@
 //! ```
 
 pub mod alloc;
-pub mod check;
 pub mod coflow;
 pub mod cpu;
 pub mod engine;
-pub mod event;
 pub mod flow;
 pub mod fx;
 pub mod ids;
+pub mod observe;
 pub mod policy;
 pub mod port;
-pub mod sample;
 pub mod units;
 pub mod view;
 
 pub use alloc::{Allocation, FlowCommand, TouchedCounters, WaterFillScratch};
-pub use check::{CheckCtx, CheckedFlow, EngineCheck};
 pub use coflow::{Coflow, CoflowBuilder};
 pub use cpu::{CpuModel, CpuTrace};
 pub use engine::{CoflowRecord, Engine, EngineMode, FlowRecord, SimConfig, SimResult};
-pub use event::{Event, EventKind, EventLog};
 pub use flow::{FlowProgress, FlowSpec};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CoflowId, FlowId, NodeId};
+pub use observe::{BoundaryObserver, BoundarySnapshot, FlowSnapshot};
 pub use policy::Policy;
 pub use port::Fabric;
-pub use sample::{Sample, Timeline};
 pub use view::{FabricView, FlowView};
 
 /// Numerical tolerance for "volume has reached zero" comparisons.

@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn flow_view_from_progress_carries_state() {
         let mut p = FlowProgress::new(FlowSpec::new(7, 1, 2, 100.0), CoflowId(3), 4.0);
-        p.compress_for(1.0, 10.0, 0.5);
+        (p.raw, p.compressed) = (90.0, 5.0);
         let v = FlowView::from_progress(&p);
         assert_eq!(v.id, FlowId(7));
         assert_eq!(v.raw, 90.0);

@@ -113,10 +113,7 @@ mod tests {
         assert_eq!(rec.trace_events.len(), 4);
         assert_eq!(rec.trace_events[0]["idx"], 6);
         // Round-trips through JSON for the artifact writer.
-        if crate::serde_is_stub() {
-            eprintln!("skipping flight JSON round-trip: stub serde_json in this toolchain");
-            return;
-        }
+        crate::skip_if_stub!();
         let back: FlightRecord =
             serde_json::from_str(&serde_json::to_string(&rec).unwrap()).unwrap();
         assert_eq!(back, rec);
@@ -140,15 +137,11 @@ mod tests {
         t.record_sample(sample(3));
         let rec = FlightRecord::capture("drift", "small", 7, &t.snapshot(), Vec::new(), 8);
         rec.write(&path).unwrap();
-        assert!(std::fs::metadata(&path).unwrap().len() > 0);
-        if crate::serde_is_stub() {
-            eprintln!("skipping flight read-back: stub serde_json in this toolchain");
-            std::fs::remove_dir_all(&dir).ok();
-            return;
-        }
-        let back: FlightRecord =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back, rec);
+        let written = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
+        assert!(!written.is_empty());
+        crate::skip_if_stub!();
+        let back: FlightRecord = serde_json::from_str(&written).unwrap();
+        assert_eq!(back, rec);
     }
 }

@@ -264,10 +264,7 @@ mod tests {
         assert_eq!(snap.buckets[bucket_of(7)], 1);
         assert_eq!(snap.buckets[bucket_of(2)], 1);
         // Round-trips through JSON for the artifact writers.
-        if crate::serde_is_stub() {
-            eprintln!("skipping histogram JSON round-trip: stub serde_json in this toolchain");
-            return;
-        }
+        crate::skip_if_stub!();
         let back: LogHistogram =
             serde_json::from_str(&serde_json::to_string(&snap).unwrap()).unwrap();
         assert_eq!(back, snap);

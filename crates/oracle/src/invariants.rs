@@ -1,6 +1,6 @@
 //! The online invariant checker: physics the engine must never violate.
 //!
-//! [`InvariantChecker`] implements [`EngineCheck`] and is attached with
+//! [`InvariantChecker`] implements [`BoundaryObserver`] and is attached with
 //! [`SimConfig::with_check`](swallow_fabric::SimConfig::with_check). At every
 //! visited slice boundary it asserts:
 //!
@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use swallow_fabric::{CheckCtx, EngineCheck, FlowId, NodeId, VOLUME_EPS};
+use swallow_fabric::{BoundaryObserver, BoundarySnapshot, FlowId, NodeId, VOLUME_EPS};
 use swallow_trace::{TraceEvent, Tracer};
 
 /// The invariant classes the checker enforces.
@@ -220,22 +220,14 @@ impl InvariantChecker {
     }
 }
 
-impl EngineCheck for InvariantChecker {
-    fn at_boundary(&self, ctx: &CheckCtx<'_>) {
+impl BoundaryObserver for InvariantChecker {
+    fn at_boundary(&self, ctx: &BoundarySnapshot<'_>) {
         let mut g = self.inner.lock().unwrap();
         g.boundaries += 1;
         let n = ctx.fabric.num_nodes();
         let faulted = !ctx.faults.is_empty();
 
-        // Per-port transmitting load.
-        let mut egress = vec![0.0f64; n];
-        let mut ingress = vec![0.0f64; n];
-        for f in ctx.flows {
-            if !f.cmd.compress && f.cmd.rate > 0.0 {
-                egress[f.src.index()] += f.cmd.rate;
-                ingress[f.dst.index()] += f.cmd.rate;
-            }
-        }
+        let (egress, ingress) = ctx.port_loads();
 
         // port_capacity: no port carries more than its capacity.
         for i in 0..n {

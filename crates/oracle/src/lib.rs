@@ -5,7 +5,7 @@
 //! reproduction *self-checking* along four independent axes:
 //!
 //! 1. **Online invariants** ([`InvariantChecker`]) — a read-only
-//!    [`EngineCheck`](swallow_fabric::EngineCheck) observer attached via
+//!    [`BoundaryObserver`](swallow_fabric::BoundaryObserver) attached via
 //!    [`SimConfig::with_check`](swallow_fabric::SimConfig::with_check) that
 //!    asserts physics at every visited slice boundary: port capacities,
 //!    non-negative residuals, work conservation, volume monotonicity, byte
@@ -40,15 +40,15 @@ mod tests {
     use std::sync::Arc;
     use swallow_fabric::engine::Reschedule;
     use swallow_fabric::{
-        CheckCtx, CheckedFlow, Coflow, CoflowId, Engine, EngineCheck, Fabric, FlowCommand, FlowId,
-        FlowSpec, NodeId, Policy, SimConfig,
+        BoundaryObserver, BoundarySnapshot, Coflow, CoflowId, CpuModel, Engine, Fabric,
+        FlowCommand, FlowId, FlowSnapshot, FlowSpec, NodeId, Policy, SimConfig,
     };
-    use swallow_faults::FaultPlan;
+    use swallow_faults::{FaultPlan, Injector};
     use swallow_sched::Algorithm;
 
     /// A healthy flow snapshot the synthetic tests then corrupt.
-    fn flow(id: u64, src: u32, dst: u32, cmd: FlowCommand) -> CheckedFlow {
-        CheckedFlow {
+    fn flow(id: u64, src: u32, dst: u32, cmd: FlowCommand) -> FlowSnapshot {
+        FlowSnapshot {
             id: FlowId(id),
             coflow: CoflowId(0),
             src: NodeId(src),
@@ -64,17 +64,33 @@ mod tests {
         }
     }
 
-    fn observe(fabric: &Fabric, flows: &[CheckedFlow]) -> InvariantChecker {
-        let checker = InvariantChecker::new();
-        let faults = FaultPlan::new().injector();
-        checker.at_boundary(&CheckCtx {
+    /// Show `checker` the boundary at t = 1 s holding `flows`.
+    fn show(
+        checker: &InvariantChecker,
+        fabric: &Fabric,
+        faults: &Injector,
+        flows: &[FlowSnapshot],
+    ) {
+        checker.at_boundary(&BoundarySnapshot {
             now: 1.0,
             slice: 0.01,
+            slice_idx: 100,
             fabric,
-            faults: &faults,
+            cpu: &CpuModel::unconstrained(fabric.num_nodes(), 16),
+            faults,
             flows,
             compression_speed: 0.0,
+            active_coflows: 1,
+            pending_coflows: 0,
+            reschedules: 1,
+            retired_wire: 0.0,
+            retired_saved: 0.0,
         });
+    }
+
+    fn observe(fabric: &Fabric, flows: &[FlowSnapshot]) -> InvariantChecker {
+        let checker = InvariantChecker::new();
+        show(&checker, fabric, &FaultPlan::new().injector(), flows);
         checker
     }
 
@@ -133,14 +149,7 @@ mod tests {
         let mut f = flow(0, 0, 1, FlowCommand::transmit(1.0));
         for raw in [40.0, 45.0] {
             f.raw = raw;
-            checker.at_boundary(&CheckCtx {
-                now: 1.0,
-                slice: 0.01,
-                fabric: &fabric,
-                faults: &faults,
-                flows: &[f],
-                compression_speed: 0.0,
-            });
+            show(&checker, &fabric, &faults, &[f]);
         }
         assert!(checker
             .violations()
@@ -154,14 +163,8 @@ mod tests {
         let faults = FaultPlan::new().crash(0, 0.0, Some(10.0)).injector();
         let checker = InvariantChecker::new();
         // Sender 0 is down at t = 1 but the flow still carries rate.
-        checker.at_boundary(&CheckCtx {
-            now: 1.0,
-            slice: 0.01,
-            fabric: &fabric,
-            faults: &faults,
-            flows: &[flow(0, 0, 1, FlowCommand::transmit(5.0))],
-            compression_speed: 0.0,
-        });
+        let flows = [flow(0, 0, 1, FlowCommand::transmit(5.0))];
+        show(&checker, &fabric, &faults, &flows);
         assert!(checker
             .violations()
             .iter()

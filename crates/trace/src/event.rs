@@ -285,10 +285,7 @@ mod tests {
         // The serde tag encoding is the subject; the offline stub
         // serializer renders every struct as `{}`, so the property only
         // exists under a real toolchain.
-        if swallow_metrics::serde_is_stub() {
-            eprintln!("skipping kind_matches_serde_tag: stub serde_json in this toolchain");
-            return;
-        }
+        swallow_metrics::skip_if_stub!();
         let ev = TraceEvent::FlowCompleted { flow: 3, coflow: 1 };
         let v = serde_json::to_value(&ev).unwrap();
         assert_eq!(v["type"], ev.kind());
@@ -304,10 +301,7 @@ mod tests {
     #[test]
     fn record_flattens_event() {
         // The flattened JSON shape is the subject; see above.
-        if swallow_metrics::serde_is_stub() {
-            eprintln!("skipping record_flattens_event: stub serde_json in this toolchain");
-            return;
-        }
+        swallow_metrics::skip_if_stub!();
         let r = TraceRecord {
             t: 0.25,
             event: TraceEvent::Rescheduled {

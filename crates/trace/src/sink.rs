@@ -270,10 +270,7 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        if swallow_metrics::serde_is_stub() {
-            eprintln!("skipping jsonl field checks: stub serde_json in this toolchain");
-            return;
-        }
+        swallow_metrics::skip_if_stub!();
         let v: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
         assert_eq!(v["type"], "flow_completed");
         assert_eq!(v["t"], 0.5);
@@ -298,10 +295,7 @@ mod tests {
         sink.flush(); // idempotent
         let bytes = buf.lock().unwrap().clone();
         assert!(!bytes.is_empty(), "flush wrote the document");
-        if swallow_metrics::serde_is_stub() {
-            eprintln!("skipping chrome-trace load check: stub serde_json in this toolchain");
-            return;
-        }
+        swallow_metrics::skip_if_stub!();
         let doc: serde_json::Value = serde_json::from_slice(&bytes).unwrap();
         let events = doc["traceEvents"].as_array().unwrap();
         // 4 thread-name metadata records + 1 instant event.

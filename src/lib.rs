@@ -80,7 +80,7 @@ pub mod prelude {
         SimResult,
     };
     pub use swallow_faults::{FaultPlan, Injector};
-    pub use swallow_metrics::{improvement, serde_is_stub, Cdf, Table};
+    pub use swallow_metrics::{improvement, serde_is_stub, skip_if_stub, Cdf, Table};
     pub use swallow_oracle::{
         best_case_ratio, check_lower_bounds, differential_replay, CheckConfig, GoldenFigure,
         InvariantChecker,

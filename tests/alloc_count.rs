@@ -4,12 +4,16 @@
 //! heap allocations, because per-slice work reuses the engine's scratch
 //! buffers and only events (completions, reschedules) touch the heap.
 //!
-//! The same equality pins the telemetry layer's zero-cost-when-disabled
-//! guarantee: with no `Telemetry` attached (the `SimConfig` default), every
-//! sampler and phase-profiler site in the loop reduces to an `is_some()`
-//! branch — no `Instant::now()`, no sample assembly, no scratch growth. A
-//! single allocation (or syscall-driven buffer) per boundary would break
-//! the coarse-vs-fine equality below.
+//! The same equality pins the zero-cost-when-disabled guarantee of the
+//! engine's two ways out. What the disabled path still branches on, per
+//! visited boundary: one `Option` test for the telemetry stride decision,
+//! one for each phase-timer site of a reschedule, and one at the boundary
+//! hook (`observe_boundary` returns before building a snapshot when there
+//! is neither a checker nor a sampled boundary); per event, one
+//! `Tracer::emit` branch whose constructor closure never runs. No
+//! `Instant::now()`, no snapshot, no scratch growth — a single allocation
+//! (or syscall-driven buffer) per boundary would break the coarse-vs-fine
+//! equality below.
 //!
 //! The second half of the test pins the policies' own scratch reuse: once
 //! warm, one `allocate` of FVDF or SEBF performs exactly one heap allocation
@@ -88,10 +92,10 @@ fn replay(slice: f64) -> SimResult {
             // An explicitly disabled tracer must stay zero-cost: every
             // emission site reduces to one branch and the event-constructor
             // closures never run, so the allocation counts below are
-            // unchanged from a tracer-free build. Telemetry is likewise
-            // disabled here by default (`telemetry: None`): the sampler and
-            // phase-profiler hooks share the same guarantee and the same
-            // proof.
+            // unchanged from a tracer-free build. The checker and telemetry
+            // are likewise disabled here by default (`check: None`,
+            // `telemetry: None`): the boundary hook and the phase-profiler
+            // sites share the same guarantee and the same proof.
             .with_tracer(Tracer::disabled()),
     )
     .run(policy.as_mut())

@@ -108,10 +108,7 @@ fn trace_serialization_round_trips_through_both_formats() {
     let b = simulate(&csv.coflows, Algorithm::Fvdf);
     // The JSON leg's subject *is* the serde wire format, so it only means
     // anything under a real serde toolchain.
-    if serde_is_stub() {
-        eprintln!("skipping JSON round-trip leg: stub serde_json in this toolchain");
-        return;
-    }
+    skip_if_stub!();
     std::fs::write(&json_path, trace.to_json()).unwrap();
     let back = TraceFile::open(&json_path).load().unwrap();
     assert_eq!(back, trace);

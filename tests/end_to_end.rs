@@ -86,7 +86,7 @@ fn conservation_without_compression() {
             "{} lost or created bytes",
             alg.name()
         );
-        assert_eq!(res.traffic_reduction(), 0.0);
+        assert!(res.traffic_reduction().abs() < 1e-9);
     }
 }
 
@@ -140,10 +140,7 @@ fn metrics_pipeline_consumes_results() {
 fn sim_result_serializes() {
     // The subject here is the serde wire format itself, which only exists
     // under a real serde toolchain.
-    if serde_is_stub() {
-        eprintln!("skipping sim_result_serializes: stub serde_json in this toolchain");
-        return;
-    }
+    skip_if_stub!();
     let bw = units::mbps(100.0);
     let coflows = trace(61, 5, bw);
     let res = run(Algorithm::Sebf, &coflows, bw, false);

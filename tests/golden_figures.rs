@@ -39,10 +39,7 @@ fn small_trace(bw: f64) -> Vec<Coflow> {
 fn small_figure_matches_committed_golden() {
     // The committed golden is a JSON document; parsing it needs a real
     // serde toolchain.
-    if serde_is_stub() {
-        eprintln!("skipping golden-figure compare: stub serde_json in this toolchain");
-        return;
-    }
+    skip_if_stub!();
     let golden = GoldenFigure::from_json(include_str!("golden/oracle_small_seed7.json"))
         .expect("committed golden parses");
     assert_eq!(golden.experiment, "small");

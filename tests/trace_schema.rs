@@ -162,10 +162,7 @@ fn payload_fields(line: &serde_json::Value) -> BTreeSet<String> {
 fn every_event_kind_matches_the_golden_schema() {
     // The subject is the serde wire format held against a golden JSON
     // document — both need a real serde toolchain.
-    if serde_is_stub() {
-        eprintln!("skipping schema pinning: stub serde_json in this toolchain");
-        return;
-    }
+    skip_if_stub!();
     let golden = golden_schema();
     let mut seen = BTreeSet::new();
     for event in one_of_each() {
@@ -218,10 +215,7 @@ fn two_coflow_trace() -> Vec<Coflow> {
 
 #[test]
 fn jsonl_export_of_a_two_coflow_run_conforms_to_the_golden_schema() {
-    if serde_is_stub() {
-        eprintln!("skipping JSONL schema check: stub serde_json in this toolchain");
-        return;
-    }
+    skip_if_stub!();
     let buf = Arc::new(Mutex::new(Vec::new()));
     let tracer = Tracer::new(JsonlSink::new(SharedBuf(buf.clone())));
     let mut policy = Algorithm::Fvdf.make();
