@@ -135,10 +135,7 @@ mod tests {
         // The JSON bytes are the subject here; the offline stub serializer
         // renders every struct as `{}`, so the property only exists under a
         // real toolchain.
-        if serde_json::from_str::<u64>("3").is_err() {
-            eprintln!("skipping messages_serde_roundtrip: stub serde_json in this toolchain");
-            return;
-        }
+        swallow_metrics::skip_if_stub!();
         let m = ToMaster::TransferComplete {
             coflow: CoflowRef(3),
             flow: FlowId(9),

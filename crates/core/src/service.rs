@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 
 use crate::error::SwallowError;
 use swallow_fabric::engine::Reschedule;
-use swallow_fabric::{Coflow, Engine, Fabric, SimConfig, SimResult};
+use swallow_fabric::{Coflow, Engine, Fabric, FlowSpec, SimConfig, SimResult};
 use swallow_sched::{AdmissionController, AdmissionVerdict, Algorithm};
 use swallow_trace::Tracer;
 
@@ -113,7 +113,16 @@ impl ArrivalQueue {
 
 /// Bridge from the arrival queue into the engine's pull-based arrival
 /// stream: `next` parks until a coflow arrives or the queue is closed.
+/// Dropping it closes the queue, so a scheduler loop that went away (it
+/// finished, or panicked) turns later submissions into the fatal
+/// [`SwallowError::ChannelClosed`] instead of an `Overloaded` nobody drains.
 struct ChannelArrivals(Arc<ArrivalQueue>);
+
+impl Drop for ChannelArrivals {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
 
 impl Iterator for ChannelArrivals {
     type Item = Coflow;
@@ -241,6 +250,7 @@ impl CoflowServiceBuilder {
         // slice is unmeetable and must be rejected, not missed.
         admission.set_guard(guard.max(self.slice));
         admission.set_tracer(self.tracer.clone());
+        let num_nodes = fabric.num_nodes();
         let queue = ArrivalQueue::new();
         let rx = queue.clone();
         // Events-only rescheduling lets the engine's skip-ahead jump
@@ -263,6 +273,7 @@ impl CoflowServiceBuilder {
             open: true,
             handle: Some(handle),
             admission,
+            num_nodes,
             capacity: self.queue_capacity,
             last_arrival: f64::NEG_INFINITY,
             deadlines: BTreeMap::new(),
@@ -293,6 +304,8 @@ pub struct CoflowService {
     open: bool,
     handle: Option<JoinHandle<SimResult>>,
     admission: AdmissionController,
+    /// Size of the fabric; flows naming a node beyond it are refused.
+    num_nodes: usize,
     capacity: usize,
     last_arrival: f64,
     /// Deadlines of *admitted* coflows, joined against the engine's
@@ -311,12 +324,29 @@ impl CoflowService {
     /// never queued. Fails with retryable [`SwallowError::Overloaded`] when
     /// the queue is full, fatal [`SwallowError::ChannelClosed`] after the
     /// loop has stopped, and fatal [`SwallowError::InvalidConfig`] when
-    /// arrivals go backwards in time (the stream must be time-sorted).
+    /// arrivals go backwards in time (the stream must be time-sorted), when
+    /// the arrival or the deadline is not finite, or when a flow names a
+    /// node outside the fabric — malformed input is refused here, on the
+    /// caller's thread, before it can reach the bound computation or the
+    /// engine's own assertions.
     pub fn submit(&mut self, coflow: Coflow) -> Result<AdmissionVerdict, SwallowError> {
         if !self.open {
             return Err(SwallowError::ChannelClosed {
                 channel: "arrivals",
             });
+        }
+        if !(coflow.arrival.is_finite() && coflow.deadline.is_none_or(f64::is_finite)) {
+            return Err(SwallowError::InvalidConfig(format!(
+                "coflow {} needs a finite arrival and deadline, got {} and {:?}",
+                coflow.id.0, coflow.arrival, coflow.deadline
+            )));
+        }
+        let outside = |f: &&FlowSpec| f.src.index().max(f.dst.index()) >= self.num_nodes;
+        if let Some(f) = coflow.flows.iter().find(outside) {
+            return Err(SwallowError::InvalidConfig(format!(
+                "flow {} of coflow {} names a node outside the {}-node fabric",
+                f.id.0, coflow.id.0, self.num_nodes
+            )));
         }
         if coflow.arrival < self.last_arrival {
             return Err(SwallowError::InvalidConfig(format!(
@@ -417,7 +447,6 @@ impl Drop for CoflowService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swallow_fabric::FlowSpec;
 
     fn coflow(id: u64, arrival: f64, deadline: Option<f64>) -> Coflow {
         let mut b = Coflow::builder(id)
@@ -500,6 +529,93 @@ mod tests {
         assert!(!err.is_retryable());
         let report = svc.finish().unwrap();
         assert_eq!(report.admitted, 1);
+    }
+
+    #[test]
+    fn out_of_fabric_node_is_refused_on_submit() {
+        let mut svc = CoflowService::builder()
+            .fabric(Fabric::uniform(3, 10.0))
+            .build()
+            .unwrap();
+        for (src, dst) in [(0, 3), (7, 1)] {
+            let stray = Coflow::builder(0)
+                .flow(FlowSpec::new(0, src, dst, 100.0))
+                .build();
+            let err = svc.submit(stray).unwrap_err();
+            assert!(matches!(err, SwallowError::InvalidConfig(_)), "{err:?}");
+            assert!(!err.is_retryable());
+        }
+        // Nothing was counted or queued, and the service carries on.
+        assert_eq!(svc.admitted() + svc.rejected(), 0);
+        assert!(svc.submit(coflow(1, 0.0, None)).unwrap().admitted);
+        let report = svc.finish().unwrap();
+        assert_eq!((report.admitted, report.completed), (1, 1));
+    }
+
+    #[test]
+    fn non_finite_times_are_refused_on_submit() {
+        let mut svc = CoflowService::builder()
+            .fabric(Fabric::uniform(3, 10.0))
+            .build()
+            .unwrap();
+        svc.submit(coflow(0, 1.0, None)).unwrap();
+        for (arrival, deadline) in [
+            (f64::NAN, None),
+            (f64::INFINITY, None),
+            (2.0, Some(f64::NAN)),
+            (2.0, Some(f64::INFINITY)),
+        ] {
+            // The fields are public (and deserialized): the builder's own
+            // assertions are not on every path to `submit`.
+            let mut odd = coflow(1, 2.0, None);
+            (odd.arrival, odd.deadline) = (arrival, deadline);
+            let err = svc.submit(odd).unwrap_err();
+            assert!(matches!(err, SwallowError::InvalidConfig(_)), "{err:?}");
+        }
+        // The scheduler never saw them: the stream is still healthy.
+        assert!(svc.submit(coflow(2, 2.0, Some(60.0))).unwrap().admitted);
+        let report = svc.finish().unwrap();
+        assert_eq!((report.admitted, report.completed), (2, 2));
+    }
+
+    #[test]
+    fn dead_scheduler_surfaces_as_channel_closed() {
+        let mut svc = CoflowService::builder()
+            .fabric(Fabric::uniform(3, 10.0))
+            .queue_capacity(64)
+            .build()
+            .unwrap();
+        // Two coflows sharing flow id 0 trip the engine's duplicate-id
+        // assertion on the scheduler thread once the second is admitted.
+        let twin = |id| {
+            Coflow::builder(id)
+                .arrival(id as f64)
+                .flow(FlowSpec::new(0, 0, 1, 100.0))
+                .build()
+        };
+        svc.submit(twin(0)).unwrap();
+        svc.submit(twin(1)).unwrap();
+        // Keep the stream moving until the loop is gone; it dies once it
+        // has the arrival after the twin in hand. A queue nobody drains or
+        // closes would answer `Overloaded` for ever instead.
+        let started = std::time::Instant::now();
+        let mut id = 2;
+        let err = loop {
+            match svc.submit(coflow(id, id as f64, None)) {
+                Ok(_) => id += 1,
+                Err(e) if e.is_retryable() => {
+                    assert!(started.elapsed().as_secs() < 10, "still {e:?}");
+                    std::thread::yield_now();
+                }
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, SwallowError::ChannelClosed { .. }), "{err:?}");
+        assert!(!err.is_retryable());
+        assert!(matches!(
+            svc.finish(),
+            Err(SwallowError::ChannelClosed { channel: "service" })
+        ));
     }
 
     #[test]

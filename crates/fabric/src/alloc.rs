@@ -165,14 +165,9 @@ impl Allocation {
     /// Proportionally scale down rates at any oversubscribed port so the
     /// allocation becomes feasible. The engine applies this defensively so a
     /// buggy policy degrades instead of creating bandwidth out of thin air.
-    pub fn clamp_to_capacity(&mut self, view: &FabricView<'_>) {
-        let mut scratch = PortScratch::default();
-        self.clamp_with_scratch(view, &mut scratch);
-    }
-
-    /// [`Self::clamp_to_capacity`] with caller-owned port buffers, so the
-    /// engine's reschedule path performs no per-call allocation once the
-    /// buffers have grown to the fabric size.
+    /// The port buffers are the caller's, so the engine's reschedule path
+    /// performs no per-call allocation once they have grown to the fabric
+    /// size.
     pub fn clamp_with_scratch(&mut self, view: &FabricView<'_>, scratch: &mut PortScratch) {
         // Commands and view are both ascending in flow id, so each pass finds
         // a command's endpoints by walking the two in step. Commands for
@@ -671,7 +666,7 @@ mod clamp_tests {
         alloc.set(FlowId(1), FlowCommand::transmit(8.0));
         alloc.set(FlowId(2), FlowCommand::transmit(8.0)); // egress 0: 16 > 10
         assert!(alloc.check_feasible(&view).is_err());
-        alloc.clamp_to_capacity(&view);
+        alloc.clamp_with_scratch(&view, &mut PortScratch::default());
         assert!(alloc.check_feasible(&view).is_ok());
         // Proportional scale: both flows shrink by the same 10/16 factor.
         let r1 = alloc.get(FlowId(1)).rate;
@@ -693,7 +688,7 @@ mod clamp_tests {
         };
         let mut alloc = Allocation::new();
         alloc.set(FlowId(1), FlowCommand::transmit(5.0));
-        alloc.clamp_to_capacity(&view);
+        alloc.clamp_with_scratch(&view, &mut PortScratch::default());
         assert_eq!(alloc.get(FlowId(1)).rate, 5.0);
     }
 
@@ -715,7 +710,7 @@ mod clamp_tests {
         for id in [0, 1, 2, 3, 9] {
             alloc.set(FlowId(id), FlowCommand::transmit(8.0));
         }
-        alloc.clamp_to_capacity(&view);
+        alloc.clamp_with_scratch(&view, &mut PortScratch::default());
         for id in [0, 2, 9] {
             assert_eq!(alloc.get(FlowId(id)).rate, 8.0);
         }

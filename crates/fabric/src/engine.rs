@@ -31,9 +31,14 @@
 //!   observed-bytes tracking), so no invocations are skipped and the
 //!   `reschedules` count stays faithful; `EverySlice` still benefits from
 //!   the closed forms and the allocation-free loop.
-//! * **Scratch reuse.** The `FabricView` flow list, the per-slice completion
-//!   list, CPU-core accounting and port-load accumulators all live in
-//!   buffers owned by the engine and are reused across slices.
+//! * **One flow order, scratch reuse.** The live-flow table is kept
+//!   ascending in flow id — the order the `FabricView`, the `Allocation`,
+//!   the boundary snapshot and the completion hooks all speak — so every
+//!   pass pairs engine state with a decision by walking the two in step;
+//!   nothing is sorted or indexed per reschedule. The view's flow list, the
+//!   per-slice completion list, CPU-core accounting and port-load
+//!   accumulators live in buffers owned by the engine and are reused across
+//!   slices.
 //!
 //! Time itself is tracked as an integer slice index (`now = idx · δ`), so
 //! jumping over `k` slices lands on exactly the boundary the per-slice
@@ -52,7 +57,6 @@ use crate::alloc::{seek, Allocation, FlowCommand, PortScratch, TouchedCounters};
 use crate::coflow::Coflow;
 use crate::cpu::CpuModel;
 use crate::flow::FlowProgress;
-use crate::fx::FxHashMap;
 use crate::ids::{CoflowId, FlowId, NodeId};
 use crate::observe::{BoundaryObserver, BoundarySnapshot, FlowSnapshot};
 use crate::policy::Policy;
@@ -577,10 +581,10 @@ pub struct Engine {
     /// out-of-order arrival could otherwise be admitted late and silently
     /// reorder the simulation).
     stream_floor: f64,
-    /// Live flows, unordered (completion retires via `swap_remove`).
+    /// Live flows, ascending in flow id. Admission appends (ids ascend
+    /// with arrival in every generator and reader) and re-sorts only after
+    /// a batch that brought a smaller id; retirement compacts in place.
     active: Vec<ActiveFlow>,
-    /// Flow id → slot in `active`.
-    index: FxHashMap<FlowId, usize>,
     coflow_meta: BTreeMap<CoflowId, CoflowMeta>,
     /// Earliest unobserved fault-plan boundary; `None` once the plan is
     /// exhausted (or empty). The loop refuses to skip past it and the stall
@@ -588,27 +592,18 @@ pub struct Engine {
     /// boundary can unblock flows that look stuck now.
     next_fault: Option<f64>,
     // ---- reusable scratch ----
-    /// Id-sorted flow snapshots handed to the policy (moved in and out of
-    /// the `FabricView` so the buffer survives across reschedules).
+    /// Flow snapshots handed to the policy, in table order (moved in and
+    /// out of the `FabricView` so the buffer survives across reschedules).
     view_scratch: Vec<FlowView>,
-    /// Every active flow as `(id, slot in active)`, ascending in id; built
-    /// with the view at each reschedule, so the passes that follow pair the
-    /// id-sorted allocation with engine state by walking the two in step.
-    /// It stays valid until the next reschedule (admission and retirement,
-    /// the only things that change `active`, both force one), which is what
-    /// lets the boundary snapshot gather through it instead of re-sorting.
-    order_scratch: Vec<(FlowId, u32)>,
-    /// The applied command of each active flow, by slot.
-    slot_cmds: Vec<FlowCommand>,
-    /// Flows that completed within the current slice.
+    /// Flows that completed within the current slice, in table order.
     completed_scratch: Vec<(FlowId, f64)>,
     /// Per-node compression-core accounting for the CPU admission pass
     /// (touched-list reset).
     core_scratch: TouchedCounters,
     /// Per-node port-load accounting for the feasibility clamp.
     port_scratch: PortScratch,
-    /// Id-sorted flow snapshots for the boundary hook (unused — and never
-    /// grown — unless a checker or a telemetry collector is attached).
+    /// Flow snapshots for the boundary hook, in table order (unused — and
+    /// never grown — unless a checker or a telemetry collector is attached).
     snapshot_scratch: Vec<FlowSnapshot>,
     /// Cumulative wire bytes of retired flows (the live flows' share is in
     /// the boundary snapshot itself).
@@ -699,12 +694,9 @@ impl Engine {
             arrivals: None,
             stream_floor: f64::NEG_INFINITY,
             active: Vec::new(),
-            index: FxHashMap::default(),
             coflow_meta: BTreeMap::new(),
             next_fault,
             view_scratch: Vec::new(),
-            order_scratch: Vec::new(),
-            slot_cmds: Vec::new(),
             completed_scratch: Vec::new(),
             core_scratch: TouchedCounters::default(),
             port_scratch: PortScratch::default(),
@@ -800,6 +792,7 @@ impl Engine {
 
             // Admit everything that has arrived by this boundary.
             let mut admitted = false;
+            let mut out_of_order = false;
             while self
                 .pending
                 .last()
@@ -862,7 +855,7 @@ impl Engine {
                             ratio,
                         };
                         af.reset_segment(idx, FlowCommand::IDLE);
-                        self.index.insert(spec.id, self.active.len());
+                        out_of_order |= self.active.last().is_some_and(|l| l.p.spec.id > spec.id);
                         self.active.push(af);
                         live += 1;
                     }
@@ -891,6 +884,10 @@ impl Engine {
                         },
                     );
                 }
+            }
+            if out_of_order {
+                // Stable, so the already ascending runs merge in one pass.
+                self.active.sort_by_key(|af| af.p.spec.id);
             }
             if admitted {
                 upgrade_cause(&mut pending_cause, RescheduleCause::Arrival);
@@ -949,22 +946,14 @@ impl Engine {
                 let mut cpu_used = std::mem::take(&mut self.core_scratch);
                 let mut port_scratch = std::mem::take(&mut self.port_scratch);
                 let flows = std::mem::take(&mut self.view_scratch);
-                let mut order = std::mem::take(&mut self.order_scratch);
-                let view = self.view_into(now, flows, &mut order);
+                let view = self.view_into(now, flows);
                 let outstanding = view.flows.len();
                 let mut decided = policy.allocate(&view);
                 decided.clamp_with_scratch(&view, &mut port_scratch);
-                Self::apply_fault_limits(
-                    &self.config.faults,
-                    &order,
-                    &self.active,
-                    &mut decided,
-                    now,
-                );
+                Self::apply_fault_limits(&self.config.faults, &self.active, &mut decided, now);
                 let kept_rate = Self::enforce_cpu(
                     &self.cpu,
                     &self.config.faults,
-                    &order,
                     &self.active,
                     &mut cpu_used,
                     &mut decided,
@@ -982,8 +971,6 @@ impl Engine {
                 self.view_scratch = flows;
                 self.core_scratch = cpu_used;
                 self.port_scratch = port_scratch;
-                self.record_slot_cmds(&decided, &order);
-                self.order_scratch = order;
                 if let Some(started) = started {
                     let elapsed = started.elapsed();
                     if tracer.is_enabled() {
@@ -991,7 +978,7 @@ impl Engine {
                     }
                     if let Some(t) = sampler {
                         // The full decision: materialize + policy + clamps
-                        // + CPU admission + command pairing.
+                        // + CPU admission.
                         t.record_phase(Phase::Schedule, elapsed);
                     }
                 }
@@ -1012,7 +999,9 @@ impl Engine {
                 // quiescent EverySlice run share one trajectory); any change
                 // re-bases every flow at this boundary.
                 if !applied || alloc != decided {
-                    for (af, &cmd) in self.active.iter_mut().zip(&self.slot_cmds) {
+                    let mut at = 0;
+                    for af in &mut self.active {
+                        let cmd = decided.seek(&mut at, af.p.spec.id);
                         // A flow that was transmitting and now gets neither
                         // rate nor a core was preempted by the new order.
                         if af.cmd.rate > 0.0 && cmd.rate <= 0.0 && !cmd.compress {
@@ -1095,24 +1084,38 @@ impl Engine {
                 }
             }
 
-            // Retire completed flows and coflows, in flow-id order (the
-            // order the id-sorted map iteration used to provide).
-            self.completed_scratch.sort_unstable_by_key(|(id, _)| *id);
-            let mut completed = std::mem::take(&mut self.completed_scratch);
-            for &(id, t) in &completed {
-                let slot = self.index.remove(&id).expect("completed flow is active");
-                let mut af = self.active.swap_remove(slot);
-                if slot < self.active.len() {
-                    let moved = self.active[slot].p.spec.id;
-                    self.index.insert(moved, slot);
-                }
+            // Retire completed flows and coflows in flow-id order: the list
+            // was gathered along the table, so one compaction pass from the
+            // first completed entry meets each where it stands and slides the
+            // survivors down over it.
+            let start = self
+                .completed_scratch
+                .first()
+                .map_or(self.active.len(), |&(first, _)| {
+                    self.active
+                        .binary_search_by_key(&first, |af| af.p.spec.id)
+                        .expect("completed flow is active")
+                });
+            let (mut kept, mut due) = (start, 0);
+            for at in start..self.active.len() {
+                let id = self.active[at].p.spec.id;
+                let t = match self.completed_scratch.get(due) {
+                    Some(&(done, t)) if done == id => t,
+                    _ => {
+                        self.active.swap(kept, at);
+                        kept += 1;
+                        continue;
+                    }
+                };
+                due += 1;
+                let af = &mut self.active[at];
                 af.materialize(idx - af.seg + 1, speed, delta);
-                let p = af.p;
+                let (p, ratio) = (&af.p, af.ratio);
                 // Receiver-side decompression happens off the network path;
                 // when modelled, it delays the flow's completion by the
                 // compressed bytes over the decompressor's speed.
                 let t = if self.config.model_decompression && p.compressed_input > 0.0 {
-                    let compressed_bytes = p.compressed_input * af.ratio;
+                    let compressed_bytes = p.compressed_input * ratio;
                     t + compressed_bytes / self.config.compression.decompress_speed()
                 } else {
                     t
@@ -1124,7 +1127,7 @@ impl Engine {
                 // Retired-flow byte ledger for boundary snapshots: bytes that
                 // crossed the wire, and bytes compression kept off it.
                 self.retired_wire += p.wire_bytes;
-                self.retired_saved += p.compressed_input * (1.0 - af.ratio);
+                self.retired_saved += p.compressed_input * (1.0 - ratio);
                 makespan = makespan.max(t);
                 tracer.emit(t, || TraceEvent::FlowCompleted {
                     flow: id.0,
@@ -1154,8 +1157,7 @@ impl Engine {
                 needs_schedule = true;
                 upgrade_cause(&mut pending_cause, RescheduleCause::Completion);
             }
-            completed.clear();
-            self.completed_scratch = completed;
+            self.active.truncate(kept);
             if raw_exhausted {
                 needs_schedule = true;
                 upgrade_cause(&mut pending_cause, RescheduleCause::RawExhausted);
@@ -1228,39 +1230,25 @@ impl Engine {
         }
         let delta = self.config.slice;
         let speed = self.config.compression.speed();
-        // The last reschedule left `order_scratch` listing every live flow
-        // by ascending id, and the active set cannot change without forcing
-        // another one first.
-        debug_assert!(
-            self.order_scratch.len() == self.active.len()
-                && self.order_scratch.windows(2).all(|w| w[0].0 < w[1].0)
-                && self
-                    .order_scratch
-                    .iter()
-                    .all(|&(id, slot)| self.active[slot as usize].p.spec.id == id),
-            "order_scratch must cover exactly the active set"
-        );
         self.snapshot_scratch.clear();
-        self.snapshot_scratch
-            .extend(self.order_scratch.iter().map(|&(id, slot)| {
-                let af = &self.active[slot as usize];
-                let (raw, compressed, wire_bytes, compressed_input) =
-                    af.state_at(idx - af.seg, speed, delta);
-                FlowSnapshot {
-                    id,
-                    coflow: af.p.coflow,
-                    src: af.p.spec.src,
-                    dst: af.p.spec.dst,
-                    original_size: af.p.spec.size,
-                    raw,
-                    compressed,
-                    wire_bytes,
-                    compressed_input,
-                    compressible: af.p.spec.compressible,
-                    cmd: af.cmd,
-                    ratio: af.ratio,
-                }
-            }));
+        self.snapshot_scratch.extend(self.active.iter().map(|af| {
+            let (raw, compressed, wire_bytes, compressed_input) =
+                af.state_at(idx - af.seg, speed, delta);
+            FlowSnapshot {
+                id: af.p.spec.id,
+                coflow: af.p.coflow,
+                src: af.p.spec.src,
+                dst: af.p.spec.dst,
+                original_size: af.p.spec.size,
+                raw,
+                compressed,
+                wire_bytes,
+                compressed_input,
+                compressible: af.p.spec.compressible,
+                cmd: af.cmd,
+                ratio: af.ratio,
+            }
+        }));
         let snapshot = BoundarySnapshot {
             now: idx as f64 * delta,
             slice: delta,
@@ -1379,29 +1367,14 @@ impl Engine {
     }
 
     /// Build the policy-facing snapshot at `now`, reusing `flows` as the
-    /// backing buffer (it is returned to the scratch slot afterwards).
-    /// `order` is refilled with every active flow's `(id, slot)`, ascending
-    /// in id; sorting those pairs and gathering the snapshots in that order
-    /// moves a quarter of the bytes sorting the snapshots would.
-    fn view_into(
-        &self,
-        now: f64,
-        mut flows: Vec<FlowView>,
-        order: &mut Vec<(FlowId, u32)>,
-    ) -> FabricView<'_> {
-        order.clear();
-        order.extend(
-            self.active
-                .iter()
-                .enumerate()
-                .map(|(slot, af)| (af.p.spec.id, slot as u32)),
-        );
-        order.sort_unstable_by_key(|&(id, _)| id);
+    /// backing buffer (it is returned to the scratch slot afterwards). The
+    /// table is ascending in flow id, so the view is too.
+    fn view_into(&self, now: f64, mut flows: Vec<FlowView>) -> FabricView<'_> {
         flows.clear();
         flows.extend(
-            order
+            self.active
                 .iter()
-                .map(|&(_, slot)| &self.active[slot as usize].p)
+                .map(|af| &af.p)
                 .filter(|p| !p.is_complete())
                 .map(FlowView::from_progress),
         );
@@ -1423,7 +1396,6 @@ impl Engine {
     /// CPU admission means an idled flow no longer requests a core.
     fn apply_fault_limits(
         faults: &Injector,
-        order: &[(FlowId, u32)],
         active: &[ActiveFlow],
         alloc: &mut Allocation,
         now: f64,
@@ -1433,10 +1405,10 @@ impl Engine {
         }
         let mut at = 0;
         for (id, cmd) in alloc.iter_mut() {
-            let Some(&(_, slot)) = seek(order, &mut at, id, |e| e.0) else {
+            let Some(af) = seek(active, &mut at, id, |af| af.p.spec.id) else {
                 continue;
             };
-            let spec = &active[slot as usize].p.spec;
+            let spec = &af.p.spec;
             if faults.is_worker_down(spec.src.0, now) || faults.is_worker_down(spec.dst.0, now) {
                 *cmd = FlowCommand::IDLE;
                 continue;
@@ -1461,11 +1433,9 @@ impl Engine {
     /// revocation. Returns true when any fallback kept a positive rate (the
     /// caller re-clamps, since compressing flows are invisible to port
     /// loads).
-    #[allow(clippy::too_many_arguments)]
     fn enforce_cpu(
         cpu: &CpuModel,
         faults: &Injector,
-        order: &[(FlowId, u32)],
         active: &[ActiveFlow],
         cpu_used: &mut TouchedCounters,
         alloc: &mut Allocation,
@@ -1481,11 +1451,11 @@ impl Engine {
             if !cmd.compress {
                 continue;
             }
-            let Some(&(_, slot)) = seek(order, &mut at, id, |e| e.0) else {
+            let Some(af) = seek(active, &mut at, id, |af| af.p.spec.id) else {
                 *cmd = FlowCommand::IDLE;
                 continue;
             };
-            let p = &active[slot as usize].p;
+            let p = &af.p;
             let denial = if !p.spec.compressible {
                 Some(DenialReason::Incompressible)
             } else if p.raw <= VOLUME_EPS {
@@ -1522,17 +1492,6 @@ impl Engine {
             }
         }
         kept_rate
-    }
-
-    /// Pair every active flow with its command in `alloc` (idle when it has
-    /// none), recorded by slot for the segment reset.
-    fn record_slot_cmds(&mut self, alloc: &Allocation, order: &[(FlowId, u32)]) {
-        self.slot_cmds.clear();
-        self.slot_cmds.resize(self.active.len(), FlowCommand::IDLE);
-        let mut at = 0;
-        for &(id, slot) in order {
-            self.slot_cmds[slot as usize] = alloc.seek(&mut at, id);
-        }
     }
 }
 

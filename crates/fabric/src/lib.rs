@@ -44,7 +44,6 @@ pub mod coflow;
 pub mod cpu;
 pub mod engine;
 pub mod flow;
-pub mod fx;
 pub mod ids;
 pub mod observe;
 pub mod policy;
@@ -57,7 +56,6 @@ pub use coflow::{Coflow, CoflowBuilder};
 pub use cpu::{CpuModel, CpuTrace};
 pub use engine::{CoflowRecord, Engine, EngineMode, FlowRecord, SimConfig, SimResult};
 pub use flow::{FlowProgress, FlowSpec};
-pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CoflowId, FlowId, NodeId};
 pub use observe::{BoundaryObserver, BoundarySnapshot, FlowSnapshot};
 pub use policy::Policy;

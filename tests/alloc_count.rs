@@ -20,6 +20,12 @@
 //! — the `Allocation` it returns — whether the view's coflows are already
 //! grouped or interleave (the grouping's sort path).
 //!
+//! The third part pins retirement: on a trace whose three flows drain 2 ms
+//! apart, the 10 ms run retires them in one slice and the 1 ms run in three.
+//! The only allocations the two extra retiring slices may cost are the ones
+//! their reschedules make — one `Allocation` each — so compacting the flow
+//! table and walking the completion list allocate nothing.
+//!
 //! This file is its own integration-test binary so the `#[global_allocator]`
 //! hook cannot interfere with any other test, and it contains a single test
 //! function so no concurrent test pollutes the counter.
@@ -80,11 +86,25 @@ fn static_trace() -> Vec<Coflow> {
         .build()]
 }
 
+/// [`static_trace`] with the completions 2 ms apart (80.24, 82.24 and
+/// 84.24 ms): one retiring slice at δ = 10 ms, three at δ = 1 ms.
+fn bunched_trace() -> Vec<Coflow> {
+    let mut trace = static_trace();
+    for (flow, size) in trace[0].flows.iter_mut().zip([1.003e6, 1.028e6, 1.053e6]) {
+        flow.size = size;
+    }
+    trace
+}
+
 fn replay(slice: f64) -> SimResult {
+    replay_trace(static_trace(), slice)
+}
+
+fn replay_trace(trace: Vec<Coflow>, slice: f64) -> SimResult {
     let mut policy = Algorithm::Sebf.make();
     Engine::new(
         Fabric::uniform(6, units::mbps(100.0)),
-        static_trace(),
+        trace,
         SimConfig::default()
             .with_slice(slice)
             .with_reschedule(Reschedule::EventsOnly)
@@ -168,6 +188,20 @@ fn steady_state_slice_loop_does_not_allocate() {
     assert_eq!(
         coarse_allocs, fine_allocs,
         "slice loop allocated: {coarse_allocs} allocs at δ=10 ms vs {fine_allocs} at δ=1 ms"
+    );
+
+    // Retirement: the fine run spreads the three completions over three
+    // slices and pays one reschedule — one `Allocation` — for each of the
+    // two the coarse run does not have; the retiring slices themselves
+    // allocate nothing.
+    let (coarse_allocs, coarse) = allocations_during(|| replay_trace(bunched_trace(), 0.01));
+    let (fine_allocs, fine) = allocations_during(|| replay_trace(bunched_trace(), 0.001));
+    assert!(coarse.all_complete() && fine.all_complete());
+    assert_eq!((coarse.reschedules, fine.reschedules), (1, 3));
+    assert_eq!(
+        fine_allocs - coarse_allocs,
+        2,
+        "retiring slices allocated: {coarse_allocs} allocs at δ=10 ms vs {fine_allocs} at δ=1 ms"
     );
 
     // One allocation per warm `allocate`: the returned `Allocation`.
