@@ -326,7 +326,8 @@ impl CoflowService {
     /// loop has stopped, and fatal [`SwallowError::InvalidConfig`] when
     /// arrivals go backwards in time (the stream must be time-sorted), when
     /// the arrival or the deadline is not finite, or when a flow names a
-    /// node outside the fabric — malformed input is refused here, on the
+    /// node outside the fabric or carries a size that is NaN, infinite or
+    /// negative — malformed input is refused here, on the
     /// caller's thread, before it can reach the bound computation or the
     /// engine's own assertions.
     pub fn submit(&mut self, coflow: Coflow) -> Result<AdmissionVerdict, SwallowError> {
@@ -346,6 +347,15 @@ impl CoflowService {
             return Err(SwallowError::InvalidConfig(format!(
                 "flow {} of coflow {} names a node outside the {}-node fabric",
                 f.id.0, coflow.id.0, self.num_nodes
+            )));
+        }
+        // A NaN size never satisfies the engine's completion test: the flow
+        // would sit in the table until the horizon.
+        let bad_size = |f: &&FlowSpec| !(f.size.is_finite() && f.size >= 0.0);
+        if let Some(f) = coflow.flows.iter().find(bad_size) {
+            return Err(SwallowError::InvalidConfig(format!(
+                "flow {} of coflow {} needs a finite, non-negative size, got {}",
+                f.id.0, coflow.id.0, f.size
             )));
         }
         if coflow.arrival < self.last_arrival {
@@ -550,6 +560,41 @@ mod tests {
         assert!(svc.submit(coflow(1, 0.0, None)).unwrap().admitted);
         let report = svc.finish().unwrap();
         assert_eq!((report.admitted, report.completed), (1, 1));
+    }
+
+    /// `submit` refuses a coflow whose only flow has `size`, and the stream
+    /// stays healthy afterwards. The field is public (and deserialized), so
+    /// `FlowSpec::new`'s assertion is not on every path here.
+    fn refuses_flow_size(size: f64) {
+        let mut svc = CoflowService::builder()
+            .fabric(Fabric::uniform(3, 10.0))
+            .build()
+            .unwrap();
+        let mut odd = coflow(0, 1.0, None);
+        odd.flows[0].size = size;
+        let err = svc.submit(odd).unwrap_err();
+        assert!(
+            matches!(&err, SwallowError::InvalidConfig(m) if m.contains("size")),
+            "{err:?}"
+        );
+        assert!(svc.submit(coflow(1, 1.0, None)).unwrap().admitted);
+        let report = svc.finish().unwrap();
+        assert_eq!((report.admitted, report.completed), (1, 1));
+    }
+
+    #[test]
+    fn nan_flow_size_is_refused_on_submit() {
+        refuses_flow_size(f64::NAN);
+    }
+
+    #[test]
+    fn infinite_flow_size_is_refused_on_submit() {
+        refuses_flow_size(f64::INFINITY);
+    }
+
+    #[test]
+    fn negative_flow_size_is_refused_on_submit() {
+        refuses_flow_size(-1.0);
     }
 
     #[test]

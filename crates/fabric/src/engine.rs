@@ -399,6 +399,7 @@ fn avg(v: &[f64]) -> f64 {
 /// further slices is a pure function of the bases (see the module docs), so
 /// advancing by one slice and advancing by `k` slices evaluate the *same*
 /// expression — the skip-ahead invariant.
+#[derive(Clone)]
 struct ActiveFlow {
     p: FlowProgress,
     seg: u64,
@@ -1086,8 +1087,8 @@ impl Engine {
 
             // Retire completed flows and coflows in flow-id order: the list
             // was gathered along the table, so one compaction pass from the
-            // first completed entry meets each where it stands and slides the
-            // survivors down over it.
+            // first completed entry meets each where it stands and writes
+            // every survivor behind it once, into its final slot.
             let start = self
                 .completed_scratch
                 .first()
@@ -1102,7 +1103,8 @@ impl Engine {
                 let t = match self.completed_scratch.get(due) {
                     Some(&(done, t)) if done == id => t,
                     _ => {
-                        self.active.swap(kept, at);
+                        // `kept < at`: the pass starts on a completed entry.
+                        self.active[kept] = self.active[at].clone();
                         kept += 1;
                         continue;
                     }

@@ -17,7 +17,7 @@
 //!    leftover bandwidth work-conservingly.
 
 use crate::util::OrderedScratch;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use swallow_fabric::{
@@ -84,28 +84,85 @@ impl Default for FvdfConfig {
     }
 }
 
+/// What FVDF remembers about one announced coflow between calls.
+#[derive(Debug, Clone)]
+struct CoflowState {
+    id: CoflowId,
+    /// Priority class `P`, as of the latest `allocate`.
+    p: f64,
+    /// Absolute deadline learned in `on_arrival`; read only when
+    /// `config.deadline_aware` is set (the views carry no deadline).
+    deadline: Option<f64>,
+    /// The latest allocation left this coflow without service (no primary
+    /// rate, no compression) — it is one of those `Upgrade` boosts.
+    starved: bool,
+}
+
+/// One coflow of the view being planned: its resolved place in the service
+/// order and its flows' slice of `plan_flows`.
+#[derive(Debug, Clone)]
+struct CoflowPlan {
+    /// 0 for the deadline tier (FVDF-D only), 1 for the Γ tier.
+    tier: u8,
+    /// The deadline in tier 0, the adjusted `Γ_C` in tier 1.
+    key: f64,
+    coflow: CoflowId,
+    /// Adjusted `Γ_C = Γ_C / P`, the rate target in either tier.
+    gamma: f64,
+    start: u32,
+    len: u32,
+    /// Index into `FvdfPolicy::table`; `UNTRACKED` for a coflow no
+    /// `on_arrival` announced.
+    slot: u32,
+}
+
+const UNTRACKED: u32 = u32::MAX;
+
+impl CoflowPlan {
+    /// Service order: deadline tier first and earliest-deadline-first
+    /// inside it, then Shortest-`Γ_C`-First; ties fall to the coflow id, so
+    /// the order is total and any sort yields the same sequence.
+    fn service_order(&self, other: &Self) -> Ordering {
+        self.tier
+            .cmp(&other.tier)
+            .then(self.key.total_cmp(&other.key))
+            .then(self.coflow.cmp(&other.coflow))
+    }
+}
+
+/// `p` after `times` upgrades — the multiplications `Upgrade` performs, one
+/// rounding each, so applying them late gives the bits applying them at
+/// every event gave.
+fn aged(mut p: f64, logbase: f64, times: u32) -> f64 {
+    for _ in 0..times {
+        p *= logbase;
+    }
+    p
+}
+
 /// The FVDF policy.
 #[derive(Debug, Clone)]
 pub struct FvdfPolicy {
     config: FvdfConfig,
-    /// Priority class `P` per active coflow.
-    priority: BTreeMap<CoflowId, f64>,
-    /// Coflows that received no service (no primary rate, no compression)
-    /// in the latest allocation — the ones `Upgrade` boosts.
-    starved: Vec<CoflowId>,
+    /// One entry per coflow between its `on_arrival` and `on_completion`,
+    /// ascending in coflow id — the order of `CoflowGroups::spans`, so
+    /// `allocate` reads it with a cursor instead of a lookup.
+    table: Vec<CoflowState>,
+    /// `Upgrade` events since the latest `allocate`. Only `allocate` marks
+    /// an entry starved and entries arrive unstarved, so between two calls
+    /// no entry joins the starved set: every starved entry is owed exactly
+    /// this many multiplications, applied when `P` is next read.
+    pending_upgrades: u32,
     // Scratch buffers reused across reschedules so `allocate` performs no
     // steady-state heap allocation beyond the returned `Allocation`.
     scratch: OrderedScratch,
     cores_used: TouchedCounters,
     plan_flows: Vec<FlowPlan>,
-    plan_index: Vec<(CoflowId, f64, u32, u32)>,
+    plan_index: Vec<CoflowPlan>,
     tracer: Tracer,
     /// Engine telemetry handle; when present the water-fill scan feeds the
     /// phase profiler (see [`swallow_metrics::telemetry::Phase::WaterFill`]).
     telemetry: Option<Arc<Telemetry>>,
-    /// Absolute deadlines learned in `on_arrival`; consulted only when
-    /// `config.deadline_aware` is set (the views carry no deadline).
-    deadlines: BTreeMap<CoflowId, f64>,
 }
 
 impl FvdfPolicy {
@@ -119,15 +176,14 @@ impl FvdfPolicy {
         assert!(config.logbase >= 1.0, "logbase must be ≥ 1");
         Self {
             config,
-            priority: BTreeMap::new(),
-            starved: Vec::new(),
+            table: Vec::new(),
+            pending_upgrades: 0,
             scratch: OrderedScratch::default(),
             cores_used: TouchedCounters::default(),
             plan_flows: Vec::new(),
             plan_index: Vec::new(),
             tracer: Tracer::disabled(),
             telemetry: None,
-            deadlines: BTreeMap::new(),
         }
     }
 
@@ -151,7 +207,15 @@ impl FvdfPolicy {
 
     /// Current priority class of a coflow (1 if untracked).
     pub fn priority_of(&self, coflow: CoflowId) -> f64 {
-        self.priority.get(&coflow).copied().unwrap_or(1.0)
+        let Ok(at) = self.table.binary_search_by_key(&coflow, |e| e.id) else {
+            return 1.0;
+        };
+        let e = &self.table[at];
+        if e.starved {
+            aged(e.p, self.config.logbase, self.pending_upgrades)
+        } else {
+            e.p
+        }
     }
 
     /// Pseudocode 3 `Upgrade`: multiply the priority class of every coflow
@@ -160,12 +224,18 @@ impl FvdfPolicy {
     /// would collapse the Shortest-Γ ordering into arrival order under
     /// heavy event churn; the paper's stated purpose is to lift "a large
     /// coflow which is blocked by the continuously arriving small
-    /// coflows".)
+    /// coflows".) The event only counts; [`Self::settle_upgrades`] pays.
     fn upgrade(&mut self) {
-        for cid in &self.starved {
-            if let Some(p) = self.priority.get_mut(cid) {
-                *p *= self.config.logbase;
-            }
+        self.pending_upgrades += 1;
+    }
+
+    /// Apply the upgrades counted since the latest `allocate` to the
+    /// entries it left starved, and clear the marks for the next one.
+    fn settle_upgrades(&mut self) {
+        let times = std::mem::take(&mut self.pending_upgrades);
+        for e in self.table.iter_mut().filter(|e| e.starved) {
+            e.p = aged(e.p, self.config.logbase, times);
+            e.starved = false;
         }
     }
 }
@@ -200,15 +270,29 @@ impl Policy for FvdfPolicy {
 
     fn on_arrival(&mut self, coflow: &Coflow, _now: f64) {
         self.upgrade();
-        self.priority.insert(coflow.id, 1.0);
-        if let Some(d) = coflow.deadline {
-            self.deadlines.insert(coflow.id, d);
+        let fresh = CoflowState {
+            id: coflow.id,
+            p: 1.0,
+            deadline: coflow.deadline,
+            starved: false,
+        };
+        // Ids ascend with arrival in every generator and reader, so the
+        // search is for the trace that numbers them otherwise.
+        if self.table.last().is_none_or(|last| last.id < coflow.id) {
+            self.table.push(fresh);
+        } else {
+            match self.table.binary_search_by_key(&coflow.id, |e| e.id) {
+                Err(at) => self.table.insert(at, fresh),
+                // An id announced twice starts over.
+                Ok(at) => self.table[at] = fresh,
+            }
         }
     }
 
     fn on_completion(&mut self, coflow: CoflowId, _now: f64) {
-        self.priority.remove(&coflow);
-        self.deadlines.remove(&coflow);
+        if let Ok(at) = self.table.binary_search_by_key(&coflow, |e| e.id) {
+            self.table.remove(at);
+        }
         self.upgrade();
     }
 
@@ -223,9 +307,10 @@ impl Policy for FvdfPolicy {
     fn allocate(&mut self, view: &FabricView<'_>) -> Allocation {
         let delta = view.slice;
         let r_speed = view.compression.speed();
+        self.settle_upgrades();
 
-        // Detach the scratch buffers from `self` so the priority lookups
-        // below can still borrow the policy; they are restored before
+        // Detach the scratch buffers from `self` so the tracer and the
+        // table below can still borrow the policy; they are restored before
         // returning, carrying their capacity to the next reschedule.
         let mut s = std::mem::take(&mut self.scratch);
         let mut cores_used = std::mem::take(&mut self.cores_used);
@@ -240,10 +325,12 @@ impl Policy for FvdfPolicy {
         // TimeCalculation per coflow (Pseudocode 2, lines 12–23), coflows in
         // ascending id and each coflow's flows in ascending id. Plans are
         // flattened: `plan_flows` holds every coflow's flows contiguously and
-        // `plan_index` records `(coflow, Γ, start, len)` slices into it.
+        // each `plan_index` entry records its slice of it. The table ascends
+        // in the same ids, so `at` only ever moves forward.
         s.begin(view);
         plan_flows.clear();
         plan_index.clear();
+        let mut at = 0;
         for span in s.groups.spans() {
             let cid = span.coflow;
             let mut gamma_c = 0.0f64;
@@ -251,18 +338,18 @@ impl Policy for FvdfPolicy {
             for (pos, f) in s.groups.flows(span, &view.flows) {
                 let b = view.min_port_cap(f);
                 let xi = view.compression.ratio(f.original_size);
-                // CompressionStrategy (Pseudocode 1).
-                let cpu_ok = cores_used.get(f.src.index()) < view.free_cores(f.src);
-                let gate_open = match self.config.gate {
-                    GateMode::PerFlow => r_speed * (1.0 - xi) > b,
-                    GateMode::AlwaysOn => r_speed > 0.0,
-                    GateMode::AlwaysOff => false,
-                };
+                // CompressionStrategy (Pseudocode 1). The free-core probe
+                // reads the CPU trace, so it comes last: a flow that cannot
+                // compress anyway never asks.
                 let beta = self.config.compression
                     && f.compressible
                     && f.raw > VOLUME_EPS
-                    && cpu_ok
-                    && gate_open;
+                    && match self.config.gate {
+                        GateMode::PerFlow => r_speed * (1.0 - xi) > b,
+                        GateMode::AlwaysOn => r_speed > 0.0,
+                        GateMode::AlwaysOff => false,
+                    }
+                    && cores_used.get(f.src.index()) < view.free_cores(f.src);
                 if beta {
                     cores_used.inc(f.src.index());
                 }
@@ -288,34 +375,44 @@ impl Policy for FvdfPolicy {
                 coflow: cid.0,
                 gamma: gamma_c,
             });
+            while self.table.get(at).is_some_and(|e| e.id < cid) {
+                at += 1;
+            }
+            // A coflow no `on_arrival` announced has P = 1, no deadline and
+            // nowhere to be marked starved, so it never ages.
+            let (slot, p, deadline) = match self.table.get(at) {
+                Some(e) if e.id == cid => (at as u32, e.p, e.deadline),
+                _ => (UNTRACKED, 1.0, None),
+            };
             // Online: adjusted Γ_C = Γ_C / P (Pseudocode 2, lines 4–6).
-            let adjusted = if self.config.online {
-                gamma_c / self.priority_of(cid)
+            let gamma = if self.config.online {
+                gamma_c / p
             } else {
                 gamma_c
             };
-            plan_index.push((cid, adjusted, start, len));
+            // In deadline-aware mode deadline coflows form an urgent EDF
+            // tier ahead of the Γ tier; on a deadline-less trace every key
+            // is the one plain FVDF resolves.
+            let (tier, key) = match deadline {
+                Some(d) if self.config.deadline_aware => (0, d),
+                _ => (1, gamma),
+            };
+            plan_index.push(CoflowPlan {
+                tier,
+                key,
+                coflow: cid,
+                gamma,
+                start,
+                len,
+                slot,
+            });
         }
 
-        // Shortest-Γ_C-First (Pseudocode 2, line 9). In deadline-aware mode
-        // deadline coflows form an urgent EDF tier ahead of the Γ tier; on a
-        // deadline-less trace both branches produce the same total order.
-        if self.config.deadline_aware {
-            let deadlines = &self.deadlines;
-            plan_index.sort_unstable_by(|a, b| {
-                match (deadlines.get(&a.0), deadlines.get(&b.0)) {
-                    (Some(da), Some(db)) => da.total_cmp(db).then(a.0.cmp(&b.0)),
-                    (Some(_), None) => std::cmp::Ordering::Less,
-                    (None, Some(_)) => std::cmp::Ordering::Greater,
-                    (None, None) => a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)),
-                }
-            });
-        } else {
-            plan_index.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        }
+        // Shortest-Γ_C-First (Pseudocode 2, line 9).
+        plan_index.sort_unstable_by(CoflowPlan::service_order);
         self.tracer.emit(view.now, || TraceEvent::ScheduleOrder {
             policy: self.name().to_string(),
-            order: plan_index.iter().map(|&(cid, ..)| cid.0).collect(),
+            order: plan_index.iter().map(|c| c.coflow.0).collect(),
         });
 
         // VolumeDisposal (Pseudocode 2, lines 24–35): compress β-flows; give
@@ -330,16 +427,13 @@ impl Policy for FvdfPolicy {
             .as_deref()
             .is_some_and(|t| t.is_active())
             .then(Instant::now);
-        // A coflow counts as starved when the primary pass gave none of its
-        // flows a rate or a compression slot; `Upgrade` will raise it.
-        self.starved.clear();
-        for &(cid, adjusted_gamma, start, len) in plan_index.iter() {
+        for c in plan_index.iter() {
             // `r = f.V / C.Γ_C` uses the coflow's *unadjusted* completion
             // target; with aging we keep the adjusted value as the target so
             // long-starved coflows also get faster rates once scheduled.
-            let gamma = adjusted_gamma.max(delta);
+            let gamma = c.gamma.max(delta);
             let mut served = false;
-            for f in &plan_flows[start as usize..(start + len) as usize] {
+            for f in &plan_flows[c.start as usize..(c.start + c.len) as usize] {
                 if f.beta {
                     s.cmds.set(f.pos as usize, FlowCommand::compressing());
                     served = true;
@@ -353,8 +447,10 @@ impl Policy for FvdfPolicy {
                     }
                 }
             }
-            if !served {
-                self.starved.push(cid);
+            // A coflow counts as starved when the primary pass gave none of
+            // its flows a rate or a compression slot; `Upgrade` will raise it.
+            if !served && c.slot != UNTRACKED {
+                self.table[c.slot as usize].starved = true;
             }
         }
         if self.config.backfill {
@@ -561,14 +657,23 @@ mod tests {
         // No allocation yet → nothing marked starved → no aging.
         assert_eq!(p.priority_of(CoflowId(7)), 1.0);
         assert_eq!(p.priority_of(CoflowId(8)), 1.0);
-        // Mark coflow 7 as starved and fire two upgrade events.
-        p.starved = vec![CoflowId(7)];
+        // Mark coflow 7 as starved the way `allocate` does — after settling
+        // the count so far — and fire two upgrade events.
+        p.settle_upgrades();
+        p.table[0].starved = true;
         let c3 = Coflow::builder(9).flow(FlowSpec::new(2, 0, 1, 1.0)).build();
         p.on_arrival(&c3, 2.0);
         p.on_completion(CoflowId(9), 3.0);
         assert!((p.priority_of(CoflowId(7)) - 1.44).abs() < 1e-12);
         assert_eq!(p.priority_of(CoflowId(8)), 1.0);
         assert_eq!(p.priority_of(CoflowId(9)), 1.0); // removed → default
+
+        // Nothing has been multiplied yet: the two events are a count, and
+        // the next `allocate` settles them into the table.
+        assert_eq!((p.table[0].p, p.pending_upgrades), (1.0, 2));
+        p.settle_upgrades();
+        assert_eq!(p.table[0].p.to_bits(), (1.0f64 * 1.2 * 1.2).to_bits());
+        assert_eq!((p.table[1].p, p.pending_upgrades), (1.0, 0));
     }
 
     #[test]
@@ -622,7 +727,7 @@ mod tests {
         let alloc = policy.allocate(&view);
         assert!(alloc.get(swallow_fabric::FlowId(0)).rate > 0.0);
         assert!(alloc.get(swallow_fabric::FlowId(1)).rate > 0.0);
-        assert!(policy.starved.is_empty());
+        assert!(policy.table.iter().all(|e| !e.starved));
         let c = Coflow::builder(3).flow(FlowSpec::new(2, 4, 5, 1.0)).build();
         policy.on_arrival(&c, 1.0);
         assert_eq!(p_of(&policy, 1), 1.0);

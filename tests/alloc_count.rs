@@ -26,6 +26,10 @@
 //! their reschedules make — one `Allocation` each — so compacting the flow
 //! table and walking the completion list allocate nothing.
 //!
+//! The last part pins FVDF's hooks: with its per-coflow table warm, an
+//! `on_arrival` / `on_completion` pair — an entry appended or inserted, an
+//! entry removed, two upgrades counted — allocates nothing.
+//!
 //! This file is its own integration-test binary so the `#[global_allocator]`
 //! hook cannot interfere with any other test, and it contains a single test
 //! function so no concurrent test pollutes the counter.
@@ -167,6 +171,27 @@ fn allocations_of_warm_allocate(alg: Algorithm, interleaved: bool, calls: u64) -
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Heap allocations of `pairs` `on_arrival` / `on_completion` pairs on an
+/// FVDF whose table already holds twelve coflows; the coflow that comes and
+/// goes sorts before all of them when `below`, after them otherwise.
+fn allocations_of_warm_hooks(alg: Algorithm, below: bool, pairs: u64) -> u64 {
+    let mut policy = alg.make();
+    let coflow = |id: u64| Coflow::builder(id).arrival(id as f64).build();
+    for id in 10..22 {
+        policy.on_arrival(&coflow(id), id as f64);
+    }
+    let guest = coflow(if below { 3 } else { 30 });
+    // Grow the table to the size the pairs below reach.
+    policy.on_arrival(&guest, 30.0);
+    policy.on_completion(guest.id, 30.0);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..pairs {
+        policy.on_arrival(std::hint::black_box(&guest), 31.0);
+        policy.on_completion(std::hint::black_box(guest.id), 32.0);
+    }
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn steady_state_slice_loop_does_not_allocate() {
     // Warm-up: fault in lazily-initialized runtime structures (thread-local
@@ -211,6 +236,18 @@ fn steady_state_slice_loop_does_not_allocate() {
                 allocations_of_warm_allocate(alg, interleaved, 16),
                 16,
                 "{} allocates beyond the returned Allocation (interleaved ids: {interleaved})",
+                alg.name()
+            );
+        }
+    }
+
+    // A warm arrival / completion pair allocates nothing.
+    for alg in [Algorithm::Fvdf, Algorithm::FvdfDeadline] {
+        for below in [false, true] {
+            assert_eq!(
+                allocations_of_warm_hooks(alg, below, 16),
+                0,
+                "{}'s hooks allocate (id below the table's: {below})",
                 alg.name()
             );
         }

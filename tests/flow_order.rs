@@ -3,12 +3,15 @@
 //! retirement that compacts around survivors only run when a test asks for
 //! them: here a later coflow carries *smaller* flow ids than a live one,
 //! and one slice retires the first, a middle and the last table entry
-//! together.
+//! together. A second trace retires the first entry, two adjacent middle
+//! entries and the last entry of a nine-flow table in one slice, and checks
+//! the hook sequence and every survivor's state behind the compaction.
 
 use std::sync::{Arc, Mutex};
 use swallow_repro::fabric::engine::Reschedule;
 use swallow_repro::fabric::policy::FairSharePolicy;
-use swallow_repro::fabric::{BoundaryObserver, BoundarySnapshot};
+use swallow_repro::fabric::view::FabricView;
+use swallow_repro::fabric::{Allocation, BoundaryObserver, BoundarySnapshot, CoflowId, FlowId};
 use swallow_repro::prelude::*;
 
 /// Six flows on twelve ports (no two share one, so a work-conserving policy
@@ -63,6 +66,16 @@ fn run(
     compression: Option<Arc<dyn CompressionSpec>>,
     policy: &mut dyn Policy,
 ) -> (SimResult, Vec<Vec<u64>>) {
+    run_trace(interleaved_trace(), 12, mode, compression, policy)
+}
+
+fn run_trace(
+    trace: Vec<Coflow>,
+    ports: usize,
+    mode: EngineMode,
+    compression: Option<Arc<dyn CompressionSpec>>,
+    policy: &mut dyn Policy,
+) -> (SimResult, Vec<Vec<u64>>) {
     let observer = Arc::new(OrderedBoundaries::default());
     let mut config = SimConfig::default()
         .with_slice(0.01)
@@ -72,7 +85,7 @@ fn run(
     if let Some(spec) = compression {
         config = config.with_compression(spec);
     }
-    let res = Engine::new(Fabric::uniform(12, 100.0), interleaved_trace(), config).run(policy);
+    let res = Engine::new(Fabric::uniform(ports, 100.0), trace, config).run(policy);
     assert!(res.all_complete(), "{} stalled ({mode:?})", res.policy);
     assert!(
         observer.checker.is_clean(),
@@ -130,4 +143,107 @@ fn out_of_order_ids_keep_one_flow_order_in_both_modes() {
             }
         }
     }
+}
+
+/// Sizes of the nine flows of [`bunched_trace`], by flow id − 1. Flows 1, 4,
+/// 5 and 9 drain at t = 3.005, inside one 10 ms slice; the rest a second
+/// apart from t = 5.
+const BUNCHED_SIZES: [f64; 9] = [
+    300.5, 500.0, 600.0, 300.5, 300.5, 700.0, 800.0, 900.0, 300.5,
+];
+
+/// Nine flows on eighteen ports, all from t = 0 and the table `[1, …, 9]`
+/// from the start; coflow 0 owns flows 1–4 and coflow 1 flows 5–9, so the
+/// adjacent pair that retires in the middle straddles the two.
+fn bunched_trace() -> Vec<Coflow> {
+    let flow = |id: u64| {
+        let port = 2 * (id as u32 - 1);
+        FlowSpec::new(id, port, port + 1, BUNCHED_SIZES[id as usize - 1])
+    };
+    vec![
+        Coflow::builder(0).flows((1..=4).map(flow)).build(),
+        Coflow::builder(1).flows((5..=9).map(flow)).build(),
+    ]
+}
+
+/// Fair share over [`bunched_trace`], plus a log of the completion hooks in
+/// the order they fire. Every view it is shown — the one right behind the
+/// compaction included — must hold each flow at its own spec with
+/// `100 · now` bytes sent, whichever slot the flow now sits in.
+#[derive(Default)]
+struct RecordedHooks {
+    inner: FairSharePolicy,
+    /// `(flow, coflow, bits of the completion time)`.
+    flows: Vec<(u64, u64, u64)>,
+    coflows: Vec<(u64, u64)>,
+}
+
+impl Policy for RecordedHooks {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn allocate(&mut self, view: &FabricView<'_>) -> Allocation {
+        for f in &view.flows {
+            let size = BUNCHED_SIZES[f.id.0 as usize - 1];
+            assert_eq!(
+                f.original_size, size,
+                "flow {} carries another's spec",
+                f.id
+            );
+            assert_eq!(f.coflow.0, u64::from(f.id.0 > 4), "flow {}", f.id);
+            assert!(
+                (f.raw - (size - 100.0 * view.now)).abs() < 1e-9,
+                "flow {} at t = {}: {} left of {size}",
+                f.id,
+                view.now,
+                f.raw
+            );
+        }
+        self.inner.allocate(view)
+    }
+
+    fn on_flow_complete(&mut self, flow: FlowId, coflow: CoflowId, _size: f64, now: f64) {
+        self.flows.push((flow.0, coflow.0, now.to_bits()));
+    }
+
+    fn on_completion(&mut self, coflow: CoflowId, now: f64) {
+        self.coflows.push((coflow.0, now.to_bits()));
+    }
+}
+
+#[test]
+fn first_adjacent_middle_and_last_retire_in_one_pass() {
+    let mut runs = Vec::new();
+    for mode in [EngineMode::NaiveSlice, EngineMode::SkipAhead] {
+        let mut policy = RecordedHooks::default();
+        let (res, seen) = run_trace(bunched_trace(), 18, mode, None, &mut policy);
+        // The four leave together and the five behind them close ranks.
+        assert!(
+            seen.windows(2)
+                .any(|w| w[0] == [1, 2, 3, 4, 5, 6, 7, 8, 9] && w[1] == [2, 3, 6, 7, 8]),
+            "flows 1, 4, 5 and 9 did not retire together ({mode:?})"
+        );
+        // Hooks fire in ascending flow id inside the retiring slice, then
+        // one by one as the survivors drain.
+        let order: Vec<u64> = policy.flows.iter().map(|&(flow, ..)| flow).collect();
+        assert_eq!(order, [1, 4, 5, 9, 2, 3, 6, 7, 8], "{mode:?}");
+        for &(flow, coflow, at) in &policy.flows[..4] {
+            assert_eq!(coflow, u64::from(flow > 4));
+            assert!((f64::from_bits(at) - 3.005).abs() < 1e-9, "flow {flow}");
+        }
+        let coflows: Vec<u64> = policy.coflows.iter().map(|&(coflow, _)| coflow).collect();
+        assert_eq!(coflows, [0, 1], "{mode:?}");
+        runs.push((res, policy.flows, policy.coflows));
+    }
+    let (fast, naive) = (runs.pop().unwrap(), runs.pop().unwrap());
+    assert_eq!(fast.0.flows, naive.0.flows);
+    assert_eq!(fast.0.coflows, naive.0.coflows);
+    assert_eq!(fast.0.makespan.to_bits(), naive.0.makespan.to_bits());
+    assert_eq!(fast.0.reschedules, naive.0.reschedules);
+    assert_eq!(
+        (fast.1, fast.2),
+        (naive.1, naive.2),
+        "hook sequences differ"
+    );
 }
