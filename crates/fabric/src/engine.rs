@@ -35,10 +35,21 @@
 //!   ascending in flow id — the order the `FabricView`, the `Allocation`,
 //!   the boundary snapshot and the completion hooks all speak — so every
 //!   pass pairs engine state with a decision by walking the two in step;
-//!   nothing is sorted or indexed per reschedule. The view's flow list, the
-//!   per-slice completion list, CPU-core accounting and port-load
+//!   nothing is sorted or indexed per reschedule. The per-flow outcomes are
+//!   one list in admission order, which is the same order whenever ids
+//!   ascend with arrival: admission appends a flow's [`FlowRecord`], the
+//!   live flow carries its index, retirement writes the outcome through it,
+//!   and the list itself is returned as [`SimResult::flows`] — sorted once
+//!   at the end of the run only if some id arrived at or below its
+//!   predecessor, never searched and never copied. The view's flow list,
+//!   the per-slice completion list, CPU-core accounting and port-load
 //!   accumulators live in buffers owned by the engine and are reused across
 //!   slices.
+//! * **One look per jump.** A jump lands on the boundary `skip_target`
+//!   chose. Unless that boundary reschedules (an arrival or a fault-plan
+//!   boundary falls on it), no segment, next arrival or next fault boundary
+//!   has changed, so the scan would rebuild the same candidates and answer
+//!   "here": the loop remembers where it aimed and does not ask again.
 //!
 //! Time itself is tracked as an integer slice index (`now = idx · δ`), so
 //! jumping over `k` slices lands on exactly the boundary the per-slice
@@ -411,6 +422,8 @@ struct ActiveFlow {
     cmd: FlowCommand,
     /// Cached `compression.ratio(size)` (a pure function of the flow size).
     ratio: f64,
+    /// Index of this flow's [`FlowRecord`] in the engine's record list.
+    rec: usize,
 }
 
 impl ActiveFlow {
@@ -530,6 +543,15 @@ fn upgrade_cause(slot: &mut Option<RescheduleCause>, cause: RescheduleCause) {
     }
 }
 
+/// Panic if two neighbours of an id-sorted sequence share an id.
+fn assert_distinct(sorted: impl Iterator<Item = FlowId>) {
+    let mut prev = None;
+    for id in sorted {
+        assert!(prev != Some(id), "duplicate flow id {id}");
+        prev = Some(id);
+    }
+}
+
 /// Smallest `n ≥ n0 + 1` with `pred(n)`, starting the search from the
 /// analytic estimate `est` and correcting for floating-point slack in either
 /// direction. `pred` must be monotone (false → … → true). Returns `None` if
@@ -584,8 +606,15 @@ pub struct Engine {
     stream_floor: f64,
     /// Live flows, ascending in flow id. Admission appends (ids ascend
     /// with arrival in every generator and reader) and re-sorts only after
-    /// a batch that brought a smaller id; retirement compacts in place.
+    /// a batch that brought an id at or below the table's last — equal ids
+    /// then sit side by side and panic; retirement compacts in place.
     active: Vec<ActiveFlow>,
+    /// One record per admitted flow, in admission order; it becomes
+    /// [`SimResult::flows`]. An [`ActiveFlow`] holds its record's index,
+    /// which never moves: the list is only sorted — if some id arrived at
+    /// or below its predecessor — at the end of the run, after the last
+    /// write through an index.
+    records: Vec<FlowRecord>,
     coflow_meta: BTreeMap<CoflowId, CoflowMeta>,
     /// Earliest unobserved fault-plan boundary; `None` once the plan is
     /// exhausted (or empty). The loop refuses to skip past it and the stall
@@ -627,7 +656,12 @@ impl Engine {
     /// Panics if any flow references a node outside the fabric or if two
     /// flows share an id.
     pub fn new(fabric: Fabric, mut coflows: Vec<Coflow>, config: SimConfig) -> Self {
-        let mut seen = std::collections::HashSet::new();
+        // Ids that ascend strictly along the trace — what every generator
+        // and reader produces — are distinct, and one walk shows it; only a
+        // trace that fails the walk has its ids sorted to look for twins.
+        let mut flows = 0usize;
+        let mut last = None;
+        let mut ascending = true;
         for c in &coflows {
             for f in &c.flows {
                 assert!(
@@ -635,12 +669,23 @@ impl Engine {
                     "flow {} references a node outside the fabric",
                     f.id
                 );
-                assert!(seen.insert(f.id), "duplicate flow id {}", f.id);
+                ascending &= last < Some(f.id);
+                last = Some(f.id);
+                flows += 1;
             }
+        }
+        if !ascending {
+            let mut ids: Vec<FlowId> = coflows
+                .iter()
+                .flat_map(|c| c.flows.iter().map(|f| f.id))
+                .collect();
+            ids.sort_unstable();
+            assert_distinct(ids.into_iter());
         }
         coflows.sort_by(|a, b| b.arrival.total_cmp(&a.arrival));
         let mut eng = Self::build(fabric, config);
         eng.pending = coflows;
+        eng.records = Vec::with_capacity(flows);
         eng
     }
 
@@ -651,9 +696,13 @@ impl Engine {
     /// materializing.
     ///
     /// Unlike [`Engine::new`], validation is necessarily lazy: node bounds
-    /// and duplicate flow ids are checked as each coflow is pulled, and a
-    /// stream whose arrivals go backwards panics at the offending coflow.
-    /// Equal-arrival coflows are admitted in stream order.
+    /// are checked as each coflow is pulled, and a stream whose arrivals go
+    /// backwards panics at the offending coflow. A flow id the stream hands
+    /// out twice panics with `duplicate flow id N` at the boundary that
+    /// admits the second flow if the first is still live, and otherwise at
+    /// the end of [`Engine::run`], before the result is assembled — no
+    /// [`SimResult`] ever holds one id twice. Equal-arrival coflows are
+    /// admitted in stream order.
     pub fn from_arrivals(
         fabric: Fabric,
         arrivals: Box<dyn Iterator<Item = Coflow> + Send>,
@@ -695,6 +744,7 @@ impl Engine {
             arrivals: None,
             stream_floor: f64::NEG_INFINITY,
             active: Vec::new(),
+            records: Vec::new(),
             coflow_meta: BTreeMap::new(),
             next_fault,
             view_scratch: Vec::new(),
@@ -765,7 +815,14 @@ impl Engine {
         let mut needs_schedule = true;
         let mut reschedules = 0usize;
         let mut stall_slices = 0u32;
-        let mut flow_records: BTreeMap<FlowId, FlowRecord> = BTreeMap::new();
+        // Whether every admitted flow's id exceeded its predecessor's, i.e.
+        // whether `self.records` is already in flow-id order.
+        let mut ascending = true;
+        // The boundary the last jump aimed at. Until a reschedule there
+        // changes a segment, the next arrival or the next fault boundary,
+        // `skip_target` would rebuild the candidates that chose it and
+        // answer "here", so it is not asked.
+        let mut landed: Option<u64> = None;
         let mut coflow_records: Vec<CoflowRecord> = Vec::new();
         let mut makespan = 0.0f64;
 
@@ -782,11 +839,22 @@ impl Engine {
             // this loop (the policy's water-fill timer).
             let sampler = telemetry.as_deref().filter(|t| t.begin_boundary());
             // Fast-forward over idle gaps: jump to the slice boundary at or
-            // after the next arrival.
+            // after the next arrival. The quotient can round down onto a
+            // boundary the admission test below still finds too early (a
+            // fraction of an ulp short, once an ulp of `now` exceeds its
+            // tolerance); landing there would admit nothing and come back
+            // here for ever, so the landing is verified against that test.
             if self.active.is_empty() {
                 let next = self.pending.last().map(|c| c.arrival).unwrap_or(now);
                 if next > now {
                     idx = (next / delta).ceil() as u64;
+                    while next > idx as f64 * delta + 1e-12 {
+                        // A step or two; only an arrival past the last
+                        // boundary a `u64` can index keeps failing the test.
+                        idx = idx
+                            .checked_add(1)
+                            .expect("arrival lies beyond the slice grid");
+                    }
                     now = idx as f64 * delta;
                 }
             }
@@ -811,35 +879,29 @@ impl Engine {
                 policy.on_arrival(&c, now);
                 let mut live = 0usize;
                 for spec in &c.flows {
-                    let rec = FlowRecord {
+                    let progress = FlowProgress::new(spec.clone(), c.id, c.arrival);
+                    // Zero-sized flows finish the moment they arrive.
+                    let done = progress.is_complete();
+                    let rec = self.records.len();
+                    ascending &= self.records.last().map(|r| r.id) < Some(spec.id);
+                    self.records.push(FlowRecord {
                         id: spec.id,
                         coflow: c.id,
                         src: spec.src,
                         dst: spec.dst,
                         size: spec.size,
                         arrival: c.arrival,
-                        completed_at: None,
+                        completed_at: done.then_some(c.arrival),
                         wire_bytes: 0.0,
                         compressed_input: 0.0,
-                    };
-                    let progress = FlowProgress::new(spec.clone(), c.id, c.arrival);
-                    if progress.is_complete() {
-                        // Zero-sized flows finish the moment they arrive.
-                        let mut rec = rec;
-                        rec.completed_at = Some(c.arrival);
-                        let prior = flow_records.insert(spec.id, rec);
-                        assert!(prior.is_none(), "duplicate flow id {}", spec.id);
+                    });
+                    if done {
                         tracer.emit(now, || TraceEvent::FlowCompleted {
                             flow: spec.id.0,
                             coflow: c.id.0,
                         });
                         policy.on_flow_complete(spec.id, c.id, spec.size, c.arrival);
                     } else {
-                        // Streamed traces are validated lazily, so the
-                        // duplicate-id check `Engine::new` runs eagerly
-                        // happens here instead.
-                        let prior = flow_records.insert(spec.id, rec);
-                        assert!(prior.is_none(), "duplicate flow id {}", spec.id);
                         tracer.emit(now, || TraceEvent::FlowStarted {
                             flow: spec.id.0,
                             coflow: c.id.0,
@@ -854,9 +916,10 @@ impl Engine {
                             base_cinput: 0.0,
                             cmd: FlowCommand::IDLE,
                             ratio,
+                            rec,
                         };
                         af.reset_segment(idx, FlowCommand::IDLE);
-                        out_of_order |= self.active.last().is_some_and(|l| l.p.spec.id > spec.id);
+                        out_of_order |= self.active.last().is_some_and(|l| l.p.spec.id >= spec.id);
                         self.active.push(af);
                         live += 1;
                     }
@@ -887,8 +950,11 @@ impl Engine {
                 }
             }
             if out_of_order {
-                // Stable, so the already ascending runs merge in one pass.
+                // Stable, so the already ascending runs merge in one pass. An
+                // id at or below the table's last may be a live flow's twin;
+                // sorted, the two are neighbours.
                 self.active.sort_by_key(|af| af.p.spec.id);
+                assert_distinct(self.active.iter().map(|af| af.p.spec.id));
             }
             if admitted {
                 upgrade_cause(&mut pending_cause, RescheduleCause::Arrival);
@@ -990,6 +1056,7 @@ impl Engine {
                 };
                 pending_cause = None;
                 reschedules += 1;
+                landed = None;
                 tracer.emit(now, || TraceEvent::Rescheduled {
                     cause,
                     flows: outstanding,
@@ -1035,6 +1102,7 @@ impl Engine {
             // policy must run at every boundary).
             if self.config.mode == EngineMode::SkipAhead
                 && self.config.reschedule == Reschedule::EventsOnly
+                && landed != Some(idx)
             {
                 let target = self.skip_target(idx, speed, delta);
                 if target > idx {
@@ -1044,6 +1112,7 @@ impl Engine {
                     });
                     tracer.skipped(target - idx);
                     idx = target;
+                    landed = Some(target);
                     stall_slices = 0;
                     continue;
                 }
@@ -1122,7 +1191,7 @@ impl Engine {
                 } else {
                     t
                 };
-                let rec = flow_records.get_mut(&id).expect("record exists");
+                let rec = &mut self.records[af.rec];
                 rec.completed_at = Some(t);
                 rec.wire_bytes = p.wire_bytes;
                 rec.compressed_input = p.compressed_input;
@@ -1201,10 +1270,16 @@ impl Engine {
         // Flows still active at abort keep partial accounting.
         self.materialize_all(idx, speed, delta);
         for af in &self.active {
-            if let Some(rec) = flow_records.get_mut(&af.p.spec.id) {
-                rec.wire_bytes = af.p.wire_bytes;
-                rec.compressed_input = af.p.compressed_input;
-            }
+            let rec = &mut self.records[af.rec];
+            rec.wire_bytes = af.p.wire_bytes;
+            rec.compressed_input = af.p.compressed_input;
+        }
+        // Records come back in flow-id order. They are in it already unless
+        // some id arrived at or below its predecessor; only such a trace can
+        // hold a retired flow's twin, which the sort puts beside it.
+        if !ascending {
+            self.records.sort_by_key(|r| r.id);
+            assert_distinct(self.records.iter().map(|r| r.id));
         }
         coflow_records.sort_by(|a, b| {
             a.completed_at
@@ -1214,7 +1289,7 @@ impl Engine {
 
         SimResult {
             policy: policy.name().to_string(),
-            flows: flow_records.into_values().collect(),
+            flows: self.records,
             coflows: coflow_records,
             makespan,
             reschedules,

@@ -26,6 +26,11 @@
 //! their reschedules make — one `Allocation` each — so compacting the flow
 //! table and walking the completion list allocate nothing.
 //!
+//! The fourth part pins the engine's per-flow bookkeeping: on an idle trace
+//! of 8 000 coflows, what `Engine::new` and `run` allocate beyond the one
+//! `Allocation` per reschedule stays under 0.2 per coflow — the record list
+//! is one `Vec` sized from the trace, not a map node every few flows.
+//!
 //! The last part pins FVDF's hooks: with its per-coflow table warm, an
 //! `on_arrival` / `on_completion` pair — an entry appended or inserted, an
 //! entry removed, two upgrades counted — allocates nothing.
@@ -192,6 +197,32 @@ fn allocations_of_warm_hooks(alg: Algorithm, below: bool, pairs: u64) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Replay an idle trace the way the benchmark's `fabric-idle` does (8 000
+/// `gen::scale` coflows on 500 ports, FVDF + LZ4, events-only, skip-ahead)
+/// and return the heap allocations of `Engine::new` + `run` beyond the one
+/// `Allocation` each reschedule returns, with the number of coflows. The
+/// record list is sized from the trace, so per-flow bookkeeping adds none.
+fn idle_replay_allocations_beyond_reschedules() -> (f64, f64) {
+    let trace = CoflowGen::new(GenConfig {
+        seed: 1,
+        ..swallow_repro::workload::gen::scale(8_000, 500)
+    })
+    .generate();
+    let coflows = trace.len() as f64;
+    let mut policy = Algorithm::Fvdf.make();
+    let config = SimConfig::default()
+        .with_slice(0.001)
+        .with_reschedule(Reschedule::EventsOnly)
+        .with_compression(std::sync::Arc::new(ProfiledCompression::constant(
+            Table2::Lz4,
+        )));
+    let (allocs, res) = allocations_during(|| {
+        Engine::new(Fabric::uniform(500, units::gbps(1.0)), trace, config).run(policy.as_mut())
+    });
+    assert!(res.all_complete());
+    (allocs as f64 - res.reschedules as f64, coflows)
+}
+
 #[test]
 fn steady_state_slice_loop_does_not_allocate() {
     // Warm-up: fault in lazily-initialized runtime structures (thread-local
@@ -240,6 +271,13 @@ fn steady_state_slice_loop_does_not_allocate() {
             );
         }
     }
+
+    // The record list allocates nothing per flow.
+    let (beyond, coflows) = idle_replay_allocations_beyond_reschedules();
+    assert!(
+        beyond < 0.2 * coflows + 64.0,
+        "{beyond} allocations beyond one per reschedule over {coflows} coflows"
+    );
 
     // A warm arrival / completion pair allocates nothing.
     for alg in [Algorithm::Fvdf, Algorithm::FvdfDeadline] {

@@ -141,6 +141,101 @@ fn modes_agree_under_contention() {
     assert!(peak >= 20, "only {peak} coflows ever overlapped");
 }
 
+/// What skip-ahead visits under contention is pinned, not only what it
+/// computes: the engine remembers where a jump aimed and skips the target
+/// scan on landing, which must not move a single visited boundary. The
+/// trace has [`modes_agree_under_contention`]'s shape (80 coflows of 2–6
+/// flows and 12.5–60 MB bursting onto ten 1 Gbps ports, nine in ten
+/// compressible) but is drawn from the test's own generator: `CoflowGen`
+/// output depends on which `rand` is linked, pinned numbers must not. The
+/// pins were recorded on the commit before the memo existed.
+#[test]
+fn jumps_under_contention_are_the_ones_pinned() {
+    let mut state = 0x10ADu64;
+    let mut draw = move || {
+        // splitmix64, mapped to [0, 1)
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let (mut arrival, mut next_flow) = (0.0, 0u64);
+    let mut coflows = Vec::new();
+    for c in 0..80u64 {
+        arrival += draw() * 0.003;
+        let width = 2 + (draw() * 5.0) as u64;
+        let coflow_bytes = (12.5 + draw() * 47.5) * units::MB;
+        let flows: Vec<FlowSpec> = (0..width)
+            .map(|_| {
+                let src = (draw() * 10.0) as u32;
+                let dst = (src + 1 + (draw() * 9.0) as u32) % 10;
+                let size = coflow_bytes / width as f64 * (0.7 + 0.6 * draw());
+                let spec = FlowSpec::new(next_flow, src, dst, size);
+                next_flow += 1;
+                if draw() < 0.9 {
+                    spec
+                } else {
+                    spec.incompressible()
+                }
+            })
+            .collect();
+        coflows.push(Coflow::builder(c).arrival(arrival).flows(flows).build());
+    }
+
+    let sink = Arc::new(swallow_repro::trace::CollectSink::new());
+    let tracer = Tracer::with_sink(sink.clone());
+    let config = SimConfig::default()
+        .with_slice(0.001)
+        .with_reschedule(Reschedule::EventsOnly)
+        .with_compression(Arc::new(ConstCompression::new(
+            "lz4-like",
+            400.0 * units::MB,
+            0.48,
+        )));
+    let fabric = Fabric::uniform(10, units::gbps(1.0));
+    let naive = Engine::new(
+        fabric.clone(),
+        coflows.clone(),
+        config.clone().with_mode(EngineMode::NaiveSlice),
+    )
+    .run(&mut FvdfPolicy::new());
+    let fast = Engine::new(fabric, coflows, config.with_tracer(tracer.clone()))
+        .run(&mut FvdfPolicy::new());
+    assert!(naive.all_complete());
+    assert_eq!(fast.flows, naive.flows);
+    assert_eq!(fast.coflows, naive.coflows);
+    assert_eq!(fast.makespan.to_bits(), naive.makespan.to_bits());
+    assert_eq!(fast.reschedules, naive.reschedules);
+
+    // FNV-1a over the `(from_slice, to_slice)` sequence.
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for record in sink.snapshot() {
+        if let TraceEvent::SkipAhead {
+            from_slice,
+            to_slice,
+        } = record.event
+        {
+            for word in [from_slice, to_slice] {
+                for byte in word.to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+        }
+    }
+    let summary = tracer.summary().expect("tracer is enabled");
+    assert_eq!(
+        (
+            naive.reschedules,
+            summary.skip_jumps,
+            summary.slices_skipped,
+            summary.slices_processed,
+            hash,
+        ),
+        (410, 244, 1474, 393, 0x4B1ECEFECA03FBD6)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -6,12 +6,21 @@
 //! together. A second trace retires the first entry, two adjacent middle
 //! entries and the last entry of a nine-flow table in one slice, and checks
 //! the hook sequence and every survivor's state behind the compaction.
+//!
+//! The second half is about the record list behind `SimResult::flows`: it
+//! comes back in flow-id order however the ids arrived, at the cost of one
+//! sort; a flow id used twice panics with `duplicate flow id N` — up front
+//! for a materialised trace, at the admitting boundary or at the latest
+//! when the result is assembled for a streamed one; and a horizon abort
+//! keeps the partial accounting of the flows it cut off.
 
 use std::sync::{Arc, Mutex};
 use swallow_repro::fabric::engine::Reschedule;
 use swallow_repro::fabric::policy::FairSharePolicy;
 use swallow_repro::fabric::view::FabricView;
-use swallow_repro::fabric::{Allocation, BoundaryObserver, BoundarySnapshot, CoflowId, FlowId};
+use swallow_repro::fabric::{
+    Allocation, BoundaryObserver, BoundarySnapshot, CoflowId, FlowCommand, FlowId, VOLUME_EPS,
+};
 use swallow_repro::prelude::*;
 
 /// Six flows on twelve ports (no two share one, so a work-conserving policy
@@ -97,6 +106,13 @@ fn run_trace(
     (res, seen)
 }
 
+fn assert_bit_identical(fast: &SimResult, naive: &SimResult) {
+    assert_eq!(fast.flows, naive.flows, "{}", naive.policy);
+    assert_eq!(fast.coflows, naive.coflows, "{}", naive.policy);
+    assert_eq!(fast.makespan.to_bits(), naive.makespan.to_bits());
+    assert_eq!(fast.reschedules, naive.reschedules);
+}
+
 /// Leg 0 is the policy the trace's retirement shape was built for; the rest
 /// put the real schedulers (and the CPU admission pass) on the same table.
 fn leg(n: usize) -> (Box<dyn Policy>, Option<Arc<dyn CompressionSpec>>) {
@@ -116,10 +132,7 @@ fn out_of_order_ids_keep_one_flow_order_in_both_modes() {
         let (naive, naive_seen) = run(EngineMode::NaiveSlice, compression, policy.as_mut());
         let (mut policy, compression) = leg(n);
         let (fast, fast_seen) = run(EngineMode::SkipAhead, compression, policy.as_mut());
-        assert_eq!(fast.flows, naive.flows, "{}", naive.policy);
-        assert_eq!(fast.coflows, naive.coflows, "{}", naive.policy);
-        assert_eq!(fast.makespan.to_bits(), naive.makespan.to_bits());
-        assert_eq!(fast.reschedules, naive.reschedules);
+        assert_bit_identical(&fast, &naive);
         // Records come back in id order whatever order the flows arrived in.
         let ids: Vec<u64> = naive.flows.iter().map(|f| f.id.0).collect();
         assert_eq!(ids, [3, 10, 11, 12, 14, 20]);
@@ -237,13 +250,378 @@ fn first_adjacent_middle_and_last_retire_in_one_pass() {
         runs.push((res, policy.flows, policy.coflows));
     }
     let (fast, naive) = (runs.pop().unwrap(), runs.pop().unwrap());
-    assert_eq!(fast.0.flows, naive.0.flows);
-    assert_eq!(fast.0.coflows, naive.0.coflows);
-    assert_eq!(fast.0.makespan.to_bits(), naive.0.makespan.to_bits());
-    assert_eq!(fast.0.reschedules, naive.0.reschedules);
+    assert_bit_identical(&fast.0, &naive.0);
     assert_eq!(
         (fast.1, fast.2),
         (naive.1, naive.2),
         "hook sequences differ"
     );
+}
+
+// ---- The record list ----
+//
+// The engine appends one record per flow at admission, writes the outcome
+// through the index the live flow carries, and hands the list back as
+// `SimResult::flows` — sorted once at the end only if some id arrived at or
+// below its predecessor.
+
+/// Splitmix64: the tests' own generator, so a trace is the same whichever
+/// `rand` the workspace links.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `0..n` in a seeded random order (Fisher–Yates).
+fn permuted_ids(n: usize, seed: u64) -> Vec<u64> {
+    let mut ids: Vec<u64> = (0..n as u64).collect();
+    let mut state = seed;
+    for i in (1..n).rev() {
+        ids.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+    }
+    ids
+}
+
+/// Records are strictly ascending in flow id, one per flow of `trace`, each
+/// carrying its flow's and its coflow's description and a completion time.
+fn assert_records_describe(trace: &[Coflow], res: &SimResult) {
+    assert!(
+        res.flows.windows(2).all(|w| w[0].id < w[1].id),
+        "records are not strictly ascending in flow id"
+    );
+    assert_eq!(
+        res.flows.len(),
+        trace.iter().map(|c| c.flows.len()).sum::<usize>()
+    );
+    for c in trace {
+        for spec in &c.flows {
+            let at = res
+                .flows
+                .binary_search_by_key(&spec.id, |r| r.id)
+                .unwrap_or_else(|_| panic!("flow {} has no record", spec.id));
+            let r = &res.flows[at];
+            assert_eq!(
+                (r.id, r.coflow, r.src, r.dst, r.size, r.arrival),
+                (spec.id, c.id, spec.src, spec.dst, spec.size, c.arrival),
+                "flow {}",
+                spec.id
+            );
+            assert!(r.completed_at.is_some(), "flow {} never completed", spec.id);
+        }
+    }
+}
+
+/// Both modes over `trace` under each leg's policy: bit-identical, and the
+/// records describe the trace.
+fn check_records(trace: &[Coflow], ports: usize) {
+    for n in 0..4 {
+        let (mut policy, compression) = leg(n);
+        let (naive, _) = run_trace(
+            trace.to_vec(),
+            ports,
+            EngineMode::NaiveSlice,
+            compression,
+            policy.as_mut(),
+        );
+        let (mut policy, compression) = leg(n);
+        let (fast, _) = run_trace(
+            trace.to_vec(),
+            ports,
+            EngineMode::SkipAhead,
+            compression,
+            policy.as_mut(),
+        );
+        assert_bit_identical(&fast, &naive);
+        assert_records_describe(trace, &naive);
+    }
+}
+
+/// `Engine::new` keeps equal arrivals in input order and admits from the
+/// back of that list: a burst's coflows come in last first, so the ids —
+/// ascending along the input — reach the record list in descending runs.
+#[test]
+fn burst_admitted_in_reverse_returns_records_in_id_order() {
+    let trace: Vec<Coflow> = (0..40u64)
+        .map(|c| {
+            let flows = (0..3u64).map(|i| {
+                let id = 3 * c + i;
+                let (src, dst) = ((id % 8) as u32, ((id * 3 + 1) % 8) as u32);
+                FlowSpec::new(id, src, dst, 40.0 + (id * 37 % 160) as f64)
+            });
+            Coflow::builder(c).arrival(0.0).flows(flows).build()
+        })
+        .collect();
+    check_records(&trace, 8);
+}
+
+/// Coflows 0.7 s apart with one to three flows of half a second to three
+/// seconds each — a few overlap at any time — and flow ids that are a random
+/// permutation, so ids arrive below live ones and below retired ones alike.
+#[test]
+fn permuted_ids_return_records_in_id_order() {
+    let ids = permuted_ids(180, 0xF10);
+    let mut state = 0x5EED;
+    let mut next_id = ids.iter();
+    let mut trace = Vec::new();
+    for c in 0..60u64 {
+        let width = 1 + splitmix(&mut state) % 3;
+        let flows: Vec<FlowSpec> = next_id
+            .by_ref()
+            .take(width as usize)
+            .map(|&id| {
+                let src = (splitmix(&mut state) % 12) as u32;
+                let dst = (src + 1 + (splitmix(&mut state) % 11) as u32) % 12;
+                let size = 50.0 + (splitmix(&mut state) % 250) as f64;
+                FlowSpec::new(id, src, dst, size)
+            })
+            .collect();
+        trace.push(
+            Coflow::builder(c)
+                .arrival(0.7 * c as f64)
+                .flows(flows)
+                .build(),
+        );
+    }
+    let first: Vec<u64> = trace[..3]
+        .iter()
+        .flat_map(|c| c.flows.iter().map(|f| f.id.0))
+        .collect();
+    assert!(
+        first.windows(2).any(|w| w[0] > w[1]),
+        "ids are not permuted: {first:?}"
+    );
+    check_records(&trace, 12);
+}
+
+/// 50 000 coflows a second apart, four equal flows each on ports of their
+/// own: the fabric idles between them. With permuted ids the records are
+/// sorted once at the end; anything done per out-of-order flow (a sorted
+/// insert moves half the list each time) would take minutes, not 3×.
+#[test]
+fn permuted_ids_cost_one_sort_not_one_insert_each() {
+    let idle_trace = |ids: Vec<u64>| -> Vec<Coflow> {
+        ids.chunks(4)
+            .enumerate()
+            .map(|(c, ids)| {
+                let flows = ids
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &id)| FlowSpec::new(id, 2 * i as u32, 2 * i as u32 + 1, 30.0));
+                Coflow::builder(c as u64)
+                    .arrival(c as f64)
+                    .flows(flows)
+                    .build()
+            })
+            .collect()
+    };
+    let timed = |ids: Vec<u64>| {
+        let config = SimConfig::default()
+            .with_slice(0.01)
+            .with_reschedule(Reschedule::EventsOnly);
+        let trace = idle_trace(ids);
+        let started = std::time::Instant::now();
+        let res = Engine::new(Fabric::uniform(8, 100.0), trace, config)
+            .run(&mut FairSharePolicy::default());
+        (started.elapsed(), res)
+    };
+    const FLOWS: usize = 200_000;
+    let in_order = || (0..FLOWS as u64).collect();
+    let shuffled = || permuted_ids(FLOWS, 0xF10);
+    // Best of two runs a side, alternating, so a stall of the machine has to
+    // hit both runs of one side to tilt the ratio.
+    let runs = [
+        timed(in_order()),
+        timed(shuffled()),
+        timed(in_order()),
+        timed(shuffled()),
+    ];
+    let ascending_took = runs[0].0.min(runs[2].0);
+    let permuted_took = runs[1].0.min(runs[3].0);
+    let (ascending, permuted) = (&runs[0].1, &runs[1].1);
+    for res in [ascending, permuted] {
+        assert!(res.all_complete());
+        assert_eq!(res.flows.len(), FLOWS);
+        assert!(res.flows.windows(2).all(|w| w[0].id < w[1].id));
+    }
+    // Same fluid run either way: only the names of the flows differ.
+    assert_eq!(ascending.coflows, permuted.coflows);
+    assert!(
+        permuted_took < 3 * ascending_took,
+        "permuted ids took {permuted_took:?}, ascending ids {ascending_took:?}"
+    );
+}
+
+/// Fair share that also logs which coflows the engine announced.
+#[derive(Default)]
+struct ArrivalLog {
+    inner: FairSharePolicy,
+    arrived: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Policy for ArrivalLog {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn allocate(&mut self, view: &FabricView<'_>) -> Allocation {
+        self.inner.allocate(view)
+    }
+
+    fn on_arrival(&mut self, coflow: &Coflow, _now: f64) {
+        self.arrived.lock().unwrap().push(coflow.id.0);
+    }
+}
+
+/// The message `run` panics with.
+fn panic_message(run: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("the trace holds one flow id twice");
+    // A formatted `assert!` panics with a `String`.
+    payload
+        .downcast::<String>()
+        .map_or_else(|_| String::new(), |message| *message)
+}
+
+fn one_flow_coflow(id: u64, arrival: f64, flow: u64, size: f64) -> Coflow {
+    Coflow::builder(id)
+        .arrival(arrival)
+        .flow(FlowSpec::new(flow, 0, 1, size))
+        .build()
+}
+
+#[test]
+fn materialized_duplicates_panic_before_the_run() {
+    let ids_of = |ids: &[u64]| -> Vec<Coflow> {
+        ids.iter()
+            .enumerate()
+            .map(|(c, &id)| one_flow_coflow(c as u64, c as f64, id, 10.0))
+            .collect()
+    };
+    // Ascending up to the twin, and shuffled (the walk fails on an innocent
+    // pair first; the twins are not neighbours in the input).
+    for (ids, twin) in [(&[0, 1, 4, 4, 6][..], 4), (&[5, 2, 9, 0, 2, 7][..], 2)] {
+        let message = panic_message(|| {
+            Engine::new(Fabric::uniform(2, 100.0), ids_of(ids), SimConfig::default());
+        });
+        assert_eq!(message, format!("duplicate flow id f{twin}"));
+    }
+    // Shuffled and distinct is a valid trace.
+    Engine::new(
+        Fabric::uniform(2, 100.0),
+        ids_of(&[5, 2, 9, 0, 7]),
+        SimConfig::default(),
+    );
+}
+
+#[test]
+fn streamed_duplicates_panic_at_admission_or_at_assembly() {
+    // Coflow 0 holds the ports for 9 or 10 s (0.1 s in the case where it
+    // must have retired); coflow 1 brings a second flow 7 at t = 5; coflow 2
+    // follows at t = 20.
+    let stream = |first: Vec<u64>, first_size: f64, twin_size: f64| {
+        let flows = first
+            .into_iter()
+            .map(move |id| FlowSpec::new(id, 0, 1, first_size));
+        vec![
+            Coflow::builder(0).arrival(0.0).flows(flows).build(),
+            one_flow_coflow(1, 5.0, 7, twin_size),
+            one_flow_coflow(2, 20.0, 100, 10.0),
+        ]
+    };
+    let cases = [
+        // (coflow 0's ids, its flow size, the twin's size, caught at admission)
+        (vec![7], 1000.0, 10.0, true), // equal to the table's last id
+        (vec![3, 7, 9], 300.0, 10.0, true), // below it
+        (vec![7], 10.0, 10.0, false),  // the first flow 7 has retired
+        (vec![7], 1000.0, 0.0, false), // an empty twin never enters the table
+    ];
+    for (first, first_size, twin_size, at_admission) in cases {
+        for mode in [EngineMode::NaiveSlice, EngineMode::SkipAhead] {
+            let mut policy = ArrivalLog::default();
+            let arrived = policy.arrived.clone();
+            let trace = stream(first.clone(), first_size, twin_size);
+            let message = panic_message(|| {
+                let config = SimConfig::default()
+                    .with_slice(0.01)
+                    .with_reschedule(Reschedule::EventsOnly)
+                    .with_mode(mode);
+                let arrivals = Box::new(trace.into_iter());
+                Engine::from_arrivals(Fabric::uniform(2, 100.0), arrivals, config).run(&mut policy);
+            });
+            assert_eq!(message, "duplicate flow id f7", "{first:?} ({mode:?})");
+            // A live flow's twin stops the run at the boundary that admits
+            // it; any other is found when the records are put in order.
+            let want: &[u64] = if at_admission { &[0, 1] } else { &[0, 1, 2] };
+            assert_eq!(*arrived.lock().unwrap(), want, "{first:?} ({mode:?})");
+        }
+    }
+}
+
+/// Compress while raw bytes remain, then send at the port's capacity.
+struct CompressThenSend;
+
+impl Policy for CompressThenSend {
+    fn name(&self) -> &str {
+        "compress-then-send"
+    }
+
+    fn allocate(&mut self, view: &FabricView<'_>) -> Allocation {
+        let mut a = Allocation::new();
+        for f in &view.flows {
+            if f.raw > VOLUME_EPS && f.compressible {
+                a.set(f.id, FlowCommand::compressing());
+            } else {
+                a.set(f.id, FlowCommand::transmit(view.min_port_cap(f)));
+            }
+        }
+        a
+    }
+}
+
+/// The run is cut at the end of slice 500 (t = 5.01 s): flows still in the
+/// table keep what they had compressed and sent by then, through the same
+/// index a completion writes through.
+#[test]
+fn horizon_abort_keeps_partial_accounting_of_live_flows() {
+    let trace = vec![Coflow::builder(0)
+        .flows([
+            // Compresses 300 B/s for 10 s: still at it.
+            FlowSpec::new(9, 0, 1, 3000.0),
+            // Sends 100 B/s for 20 s: still at it.
+            FlowSpec::new(4, 2, 3, 2000.0).incompressible(),
+            // 600 B → 240 B after 2 s, on the wire for 2.4 s more: done.
+            FlowSpec::new(6, 4, 5, 600.0),
+        ])
+        .build()];
+    let run = |mode| {
+        let config = SimConfig {
+            max_time: 5.0,
+            ..SimConfig::default()
+                .with_slice(0.01)
+                .with_reschedule(Reschedule::EventsOnly)
+                .with_mode(mode)
+                .with_compression(Arc::new(ConstCompression::new("test", 300.0, 0.4)))
+        };
+        Engine::new(Fabric::uniform(6, 100.0), trace.clone(), config).run(&mut CompressThenSend)
+    };
+    let naive = run(EngineMode::NaiveSlice);
+    let fast = run(EngineMode::SkipAhead);
+    assert_bit_identical(&fast, &naive);
+    let [sending, done, compressing] = &naive.flows[..] else {
+        panic!("three records expected: {:?}", naive.flows);
+    };
+    assert_eq!((sending.id.0, done.id.0, compressing.id.0), (4, 6, 9));
+    assert_eq!(compressing.completed_at, None);
+    assert!((compressing.compressed_input - 1503.0).abs() < 1e-6);
+    assert_eq!(compressing.wire_bytes, 0.0);
+    assert_eq!(sending.completed_at, None);
+    assert!((sending.wire_bytes - 501.0).abs() < 1e-6);
+    assert_eq!(sending.compressed_input, 0.0);
+    assert!((done.completed_at.unwrap() - 4.4).abs() < 1e-6);
+    assert!((done.wire_bytes - 240.0).abs() < 1e-6);
+    assert_eq!(done.compressed_input, 600.0);
+    assert_eq!(naive.coflows[0].completed_at, None);
 }
