@@ -19,8 +19,32 @@
 //!
 //! Overlapping matches (distance < length) are allowed and reproduce runs,
 //! exactly as in LZ4/LZ77.
+//!
+//! ## Frame size
+//!
+//! The header is at most 18 bytes (magic, a length varint of up to ten
+//! bytes, checksum). [`compress`] adds the token stream the matcher chose,
+//! whatever its size: on incompressible input that is one literal run
+//! (`n` bytes plus a varint of `n`), but a short match far back costs more
+//! than the bytes it replaces, so noise can come out a few bytes above
+//! even that. A caller that needs a hard bound takes the *stored* form
+//! instead whenever the token stream is not smaller than the input — the
+//! same header followed by a single literal run, which every decoder of
+//! this format reads: `n + 8 + 2·varint_len(n)` bytes, i.e. `n + 14` for a
+//! 256 KiB chunk. [`crate::stream`] does exactly that per chunk.
+//!
+//! ## The decoder trusts nothing
+//!
+//! [`decompress`] is handed bytes off the wire. The length a header
+//! declares only *caps* what the decoder will produce: it reserves at most
+//! `MAX_PREALLOC` (16 MiB) on the header's word — an honest frame that
+//! declares more grows the buffer as it decodes — and it refuses a literal
+//! run or a match that would carry the output past the declared length
+//! before copying a byte of it. No frame, however short, makes it allocate
+//! more than an honest frame of the same declared length would.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use std::cell::RefCell;
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"SWZ1";
@@ -91,15 +115,15 @@ pub fn adler32(data: &[u8]) -> u32 {
     (b << 16) | a
 }
 
-fn put_varint(out: &mut BytesMut, mut v: u64) {
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            out.put_u8(byte);
+            out.push(byte);
             return;
         }
-        out.put_u8(byte | 0x80);
+        out.push(byte | 0x80);
     }
 }
 
@@ -123,10 +147,25 @@ fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     }
 }
 
+/// The four bytes at `i` as one little-endian word: a single unaligned
+/// load behind a single bounds check.
+#[inline]
+fn load4(data: &[u8], i: usize) -> u32 {
+    let word: [u8; 4] = data[i..i + MIN_MATCH]
+        .try_into()
+        .expect("a four-byte slice");
+    u32::from_le_bytes(word)
+}
+
+/// Table index of a four-byte word (Knuth's multiplicative hash).
+#[inline]
+fn hash_word(word: u32) -> usize {
+    (word.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+}
+
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    ((v.wrapping_mul(2654435761)) >> (32 - HASH_BITS)) as usize
+    hash_word(load4(data, i))
 }
 
 /// Compression effort level, mirroring the fast/high split every LZ-family
@@ -157,44 +196,140 @@ pub fn compress(data: &[u8]) -> Bytes {
 /// otherwise extend the literal run. `High` keeps a hash *chain* per bucket,
 /// examines up to `CHAIN_DEPTH` (32) candidates, and defers a match by one byte
 /// when the next position holds a longer one (lazy evaluation). Both levels
-/// produce the same frame format; worst case (incompressible input) expands
-/// by the frame header plus ~1/128 varint overhead.
+/// produce the same frame format; the module docs say how large a frame can
+/// get.
 pub fn compress_with(data: &[u8], level: Level) -> Bytes {
-    let mut out = BytesMut::with_capacity(data.len() / 2 + 32);
-    out.put_slice(MAGIC);
-    put_varint(&mut out, data.len() as u64);
-    out.put_u32_le(adler32(data));
+    let mut out = Vec::with_capacity(data.len() / 2 + 32);
+    append_frame(&mut out, data, level);
+    Bytes::from(out)
+}
+
+/// Append the frame of `data` to `out` and return the offset in `out` at
+/// which its token stream starts (the header ends).
+fn append_frame(out: &mut Vec<u8>, data: &[u8], level: Level) -> usize {
+    out.extend_from_slice(MAGIC);
+    put_varint(out, data.len() as u64);
+    out.extend_from_slice(&adler32(data).to_le_bytes());
+    let tokens_at = out.len();
     match level {
-        Level::Fast => compress_fast(data, &mut out),
-        Level::High => compress_high(data, &mut out),
+        Level::Fast => compress_fast(data, out),
+        Level::High => compress_high(data, out),
     }
-    out.freeze()
+    tokens_at
 }
 
-fn emit_literals(out: &mut BytesMut, data: &[u8], lit_start: usize, i: usize) {
+/// Append the frame of `data` to `out` — in the stored form (same header,
+/// one literal run) if the token stream came out no smaller than `data`,
+/// which bounds the frame as the module docs say.
+pub(crate) fn append_bounded_frame(out: &mut Vec<u8>, data: &[u8], level: Level) {
+    let tokens_at = append_frame(out, data, level);
+    if !data.is_empty() && out.len() - tokens_at >= data.len() {
+        out.truncate(tokens_at);
+        emit_literals(out, data, 0, data.len());
+    }
+}
+
+fn emit_literals(out: &mut Vec<u8>, data: &[u8], lit_start: usize, i: usize) {
     put_varint(out, (i - lit_start) as u64);
-    out.put_slice(&data[lit_start..i]);
+    out.extend_from_slice(&data[lit_start..i]);
 }
 
-fn compress_fast(data: &[u8], out: &mut BytesMut) {
+/// A slot of the fast kernel's match table: the position at which a hash
+/// was last seen, or `EMPTY`. The kernel is written once over this trait so
+/// that the table can hold `u32`s — half the cache footprint of `usize`s,
+/// the table being the kernel's one randomly accessed structure — for every
+/// input shorter than 4 GiB, while longer ones run the same code over
+/// `usize`s.
+trait Slot: Copy + PartialEq {
+    const EMPTY: Self;
+    /// The slot holding `pos`; the caller keeps `pos` below `EMPTY`.
+    fn at(pos: usize) -> Self;
+    fn pos(self) -> usize;
+}
+
+impl Slot for u32 {
+    const EMPTY: Self = u32::MAX;
+    fn at(pos: usize) -> Self {
+        pos as u32
+    }
+    fn pos(self) -> usize {
+        self as usize
+    }
+}
+
+impl Slot for usize {
+    const EMPTY: Self = usize::MAX;
+    fn at(pos: usize) -> Self {
+        pos
+    }
+    fn pos(self) -> usize {
+        self
+    }
+}
+
+thread_local! {
+    /// The `u32` match table of this thread: 256 KiB, allocated by the
+    /// thread's first call and refilled — not reallocated — by every later
+    /// one, so a stream pays one `memset` per chunk instead of a 512 KiB
+    /// allocation.
+    static FAST_TABLE: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+fn compress_fast(data: &[u8], out: &mut Vec<u8>) {
+    // Stored positions stop at `n - MIN_MATCH`, which must stay below
+    // `u32::EMPTY`.
+    if data.len() <= u32::MAX as usize {
+        FAST_TABLE.with(|cell| {
+            let mut table = cell.borrow_mut();
+            table.clear();
+            table.resize(1 << HASH_BITS, u32::EMPTY);
+            fast_kernel(data, out, &mut table);
+        });
+    } else {
+        fast_kernel(data, out, &mut vec![usize::EMPTY; 1 << HASH_BITS]);
+    }
+}
+
+/// Length of the common prefix of `a` and `b`, eight bytes at a time: the
+/// first differing byte of two words is the lowest set byte of their `xor`
+/// (the words are little-endian). Only the last few bytes go one by one.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut len = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("an eight-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("an eight-byte chunk"));
+        let diff = x ^ y;
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The greedy matcher. It makes, token for token, the choices of the
+/// byte-at-a-time kernel it replaced, which `tests/swz_oracle.rs` keeps as
+/// the reference: a change here that moves one byte of one frame fails there.
+fn fast_kernel<S: Slot>(data: &[u8], out: &mut Vec<u8>, table: &mut [S]) {
+    // As an array, so that an index below `1 << HASH_BITS` needs no check.
+    let table: &mut [S; 1 << HASH_BITS] = table.try_into().expect("a full-size match table");
     let n = data.len();
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
     let mut i = 0usize;
     let mut lit_start = 0usize;
 
     while i + MIN_MATCH <= n {
-        let h = hash4(data, i);
-        let cand = table[h];
-        table[h] = i;
-        if cand != usize::MAX
-            && i - cand <= MAX_DISTANCE
-            && data[cand..cand + MIN_MATCH] == data[i..i + MIN_MATCH]
-        {
-            // Extend the match forward.
-            let mut len = MIN_MATCH;
-            while i + len < n && data[cand + len] == data[i + len] {
-                len += 1;
-            }
+        // One load serves the hash and the candidate check.
+        let word = load4(data, i);
+        let slot = std::mem::replace(&mut table[hash_word(word)], S::at(i));
+        let cand = slot.pos();
+        if slot != S::EMPTY && i - cand <= MAX_DISTANCE && load4(data, cand) == word {
+            // Extend the match forward, to the end of the input at most.
+            let len = MIN_MATCH + common_prefix(&data[cand + MIN_MATCH..], &data[i + MIN_MATCH..]);
             emit_literals(out, data, lit_start, i);
             put_varint(out, (len - MIN_MATCH) as u64);
             put_varint(out, (i - cand) as u64);
@@ -203,7 +338,7 @@ fn compress_fast(data: &[u8], out: &mut BytesMut) {
             let end = i + len;
             let mut j = i + 1;
             while j < end && j + MIN_MATCH <= n {
-                table[hash4(data, j)] = j;
+                table[hash4(data, j)] = S::at(j);
                 j += 2;
             }
             i = end;
@@ -281,7 +416,7 @@ impl<'a> ChainMatcher<'a> {
     }
 }
 
-fn compress_high(data: &[u8], out: &mut BytesMut) {
+fn compress_high(data: &[u8], out: &mut Vec<u8>) {
     let n = data.len();
     let mut matcher = ChainMatcher::new(data);
     let mut i = 0usize;
@@ -321,63 +456,101 @@ fn compress_high(data: &[u8], out: &mut BytesMut) {
     }
 }
 
+/// The most [`decompress`] reserves on the word of a frame header; an
+/// honest frame that declares more grows the buffer as it decodes.
+const MAX_PREALLOC: usize = 16 << 20;
+
 /// Decompress an `swz` frame produced by [`compress`].
 pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    decompress_into(frame, &mut out)?;
+    Ok(out)
+}
+
+/// Decode `frame` onto the end of `out`: on `Ok` exactly the payload has
+/// been appended, on `Err` nothing has.
+pub(crate) fn decompress_into(frame: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    let base = out.len();
+    let result = decode_onto(frame, out, base);
+    if result.is_err() {
+        out.truncate(base);
+    }
+    result
+}
+
+/// The decoder proper; the payload is `out[base..]`.
+fn decode_onto(frame: &[u8], out: &mut Vec<u8>, base: usize) -> Result<(), CodecError> {
     if frame.len() < 4 || &frame[0..4] != MAGIC {
         return Err(CodecError::BadMagic);
     }
     let mut pos = 4usize;
-    let orig_len = get_varint(frame, &mut pos)? as usize;
-    if pos + 4 > frame.len() {
+    // A length no `usize` holds cannot be met by any payload.
+    let orig_len = usize::try_from(get_varint(frame, &mut pos)?).unwrap_or(usize::MAX);
+    if frame.len() - pos < 4 {
         return Err(CodecError::Truncated);
     }
-    let expected_sum =
-        u32::from_le_bytes([frame[pos], frame[pos + 1], frame[pos + 2], frame[pos + 3]]);
+    let expected_sum = load4(frame, pos);
     pos += 4;
 
-    let mut out = Vec::with_capacity(orig_len);
-    while out.len() < orig_len {
-        let lit_len = get_varint(frame, &mut pos)? as usize;
-        if pos + lit_len > frame.len() {
+    // Refuse a literal run or a match of `len` bytes that would carry the
+    // payload past the declared length — before copying any of it.
+    let overrun = |produced: usize, len: u64| {
+        if len > (orig_len - produced) as u64 {
+            return Err(CodecError::LengthMismatch {
+                expected: orig_len,
+                actual: produced.saturating_add(usize::try_from(len).unwrap_or(usize::MAX)),
+            });
+        }
+        Ok(len as usize)
+    };
+
+    out.reserve(orig_len.min(MAX_PREALLOC));
+    while out.len() - base < orig_len {
+        let lit_len = overrun(out.len() - base, get_varint(frame, &mut pos)?)?;
+        if lit_len > frame.len() - pos {
             return Err(CodecError::Truncated);
         }
         out.extend_from_slice(&frame[pos..pos + lit_len]);
         pos += lit_len;
-        if out.len() >= orig_len {
+        if out.len() - base >= orig_len {
             break;
         }
         if pos >= frame.len() {
             return Err(CodecError::Truncated);
         }
-        let match_len = get_varint(frame, &mut pos)? as usize + MIN_MATCH;
-        let distance = get_varint(frame, &mut pos)? as usize;
-        if distance == 0 || distance > out.len() {
+        let match_len = get_varint(frame, &mut pos)?.saturating_add(MIN_MATCH as u64);
+        let match_len = overrun(out.len() - base, match_len)?;
+        let distance = get_varint(frame, &mut pos)?;
+        let produced = out.len() - base;
+        if distance == 0 || distance > produced as u64 {
             return Err(CodecError::BadDistance {
-                at: out.len(),
-                distance,
+                at: produced,
+                distance: usize::try_from(distance).unwrap_or(usize::MAX),
             });
         }
-        // Byte-by-byte copy supports overlapping (run-length) matches.
-        let start = out.len() - distance;
-        for k in 0..match_len {
-            let byte = out[start + k];
-            out.push(byte);
+        // Copy the match in slices of what is already there. When it
+        // overlaps its own output (distance < length: a run) the source
+        // doubles with every pass, and since `out[start..]` has period
+        // `distance` and each pass begins a whole number of periods in,
+        // copying from `start` continues the pattern.
+        let start = out.len() - distance as usize;
+        let mut left = match_len;
+        while left > 0 {
+            let take = left.min(out.len() - start);
+            out.extend_from_within(start..start + take);
+            left -= take;
         }
     }
-    if out.len() != orig_len {
-        return Err(CodecError::LengthMismatch {
-            expected: orig_len,
-            actual: out.len(),
-        });
-    }
-    let actual_sum = adler32(&out);
+    let payload = &out[base..];
+    debug_assert_eq!(payload.len(), orig_len, "every token was checked");
+    let actual_sum = adler32(payload);
     if actual_sum != expected_sum {
         return Err(CodecError::ChecksumMismatch {
             expected: expected_sum,
             actual: actual_sum,
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Compressed-size / original-size for `data` under `swz`; 1.0 for empty
@@ -497,6 +670,132 @@ mod tests {
         );
     }
 
+    /// Satellite of PR 20: both of these 17-byte frames used to end the
+    /// process (`memory allocation of … bytes failed` is an abort, not an
+    /// unwind), the first in `Vec::with_capacity`, the second in the match
+    /// copy.
+    #[test]
+    fn a_declared_length_of_two_to_the_62_is_not_believed() {
+        let mut frame = MAGIC.to_vec();
+        put_varint(&mut frame, 1 << 62);
+        frame.extend_from_slice(&[0; 4]);
+        assert_eq!(frame.len(), 17);
+        assert!(decompress(&frame).is_err());
+        // Nor any other length no honest 17-byte frame could have.
+        for len in [u64::MAX, 1 << 40, 1 << 32, (1 << 32) - 1] {
+            let mut frame = MAGIC.to_vec();
+            put_varint(&mut frame, len);
+            frame.extend_from_slice(&[0; 4]);
+            assert!(decompress(&frame).is_err(), "declared {len}");
+        }
+    }
+
+    #[test]
+    fn a_match_longer_than_the_declared_length_is_refused_before_it_is_copied() {
+        let mut frame = MAGIC.to_vec();
+        put_varint(&mut frame, 8); // declared length
+        frame.extend_from_slice(&[0; 4]); // checksum (never reached)
+        frame.extend_from_slice(&[1, b'x']); // one literal
+        put_varint(&mut frame, (1 << 33) - MIN_MATCH as u64); // a match of 2^33 …
+        frame.push(1); // … at distance 1
+        assert_eq!(frame.len(), 17);
+        assert_eq!(
+            decompress(&frame),
+            Err(CodecError::LengthMismatch {
+                expected: 8,
+                actual: (1 << 33) + 1,
+            })
+        );
+        // A literal run that overshoots is refused the same way, whether or
+        // not the frame holds that many bytes.
+        let mut frame = MAGIC.to_vec();
+        put_varint(&mut frame, 2);
+        frame.extend_from_slice(&[0; 4]);
+        frame.extend_from_slice(&[3, b'a', b'b', b'c']);
+        assert!(matches!(
+            decompress(&frame),
+            Err(CodecError::LengthMismatch {
+                expected: 2,
+                actual: 3
+            })
+        ));
+        // Varints at the edge of `u64` do not overflow the bookkeeping.
+        let mut frame = MAGIC.to_vec();
+        put_varint(&mut frame, 8);
+        frame.extend_from_slice(&[0; 4]);
+        frame.extend_from_slice(&[1, b'x']);
+        put_varint(&mut frame, u64::MAX);
+        frame.push(1);
+        assert!(matches!(
+            decompress(&frame),
+            Err(CodecError::LengthMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn an_honest_frame_larger_than_the_preallocation_cap_still_decodes() {
+        let data = vec![0x5au8; MAX_PREALLOC + 12_345];
+        let frame = compress(&data);
+        assert!(frame.len() < 64);
+        assert!(decompress(&frame).unwrap() == data);
+    }
+
+    #[test]
+    fn a_failed_decode_leaves_the_output_as_it_found_it() {
+        let mut out = b"already here".to_vec();
+        let mut frame = compress(&b"abcdabcdabcdabcd-tail".repeat(20)).to_vec();
+        let last = frame.len() - 1;
+        frame[last] ^= 1;
+        assert!(decompress_into(&frame, &mut out).is_err());
+        assert_eq!(out, b"already here");
+        frame[last] ^= 1;
+        decompress_into(&frame, &mut out).unwrap();
+        assert_eq!(out.len(), 12 + 21 * 20);
+        assert!(out.starts_with(b"already hereabcdabcd"));
+    }
+
+    #[test]
+    fn overlapping_matches_of_every_period_and_length_decode() {
+        // The decoder copies a run in doubling slices; check it against the
+        // definition (byte k of a match is byte k - distance).
+        for distance in 1..=9usize {
+            for len in MIN_MATCH..=70 {
+                let seed: Vec<u8> = (0..distance as u8).map(|b| b'a' + b).collect();
+                let want: Vec<u8> = (0..distance + len).map(|k| seed[k % distance]).collect();
+                let mut frame = MAGIC.to_vec();
+                put_varint(&mut frame, want.len() as u64);
+                frame.extend_from_slice(&adler32(&want).to_le_bytes());
+                put_varint(&mut frame, distance as u64);
+                frame.extend_from_slice(&seed);
+                put_varint(&mut frame, (len - MIN_MATCH) as u64);
+                put_varint(&mut frame, distance as u64);
+                assert_eq!(
+                    decompress(&frame).unwrap(),
+                    want,
+                    "distance {distance}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_wide_table_makes_the_same_frames() {
+        // Inputs of 4 GiB and more run the kernel over `usize` slots; it is
+        // the same code, so any input shows that the two agree.
+        let mut data = b"0123456789abcdef".repeat(300);
+        data.extend((0..9000u32).flat_map(|i| (i.wrapping_mul(2654435761) >> 7).to_le_bytes()));
+        data.extend(b"0123456789abcdef".repeat(30));
+        let mut narrow = Vec::new();
+        let tokens_at = append_frame(&mut narrow, &data, Level::Fast);
+        let mut wide = Vec::new();
+        fast_kernel(&data, &mut wide, &mut vec![usize::EMPTY; 1 << HASH_BITS]);
+        assert!(
+            wide.len() + 4_000 < data.len(),
+            "the input has matches to find"
+        );
+        assert_eq!(narrow[tokens_at..], wide[..]);
+    }
+
     #[test]
     fn adler32_reference_vectors() {
         // Known value: adler32("Wikipedia") = 0x11E60398.
@@ -560,7 +859,7 @@ mod tests {
 
     #[test]
     fn varint_roundtrip_extremes() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
             buf.clear();
             put_varint(&mut buf, v);

@@ -3,7 +3,47 @@
 use proptest::prelude::*;
 use swallow_compress::codec::{adler32, compress, compress_with, decompress, CodecError, Level};
 use swallow_compress::ratio::SizeRatioModel;
-use swallow_compress::{estimate_ratio, Table2};
+use swallow_compress::{
+    decompress_stream, estimate_ratio, StreamCompressor, StreamDecompressor, Table2,
+};
+
+/// One edit of a frame: where (as a fraction of its length), what kind
+/// (flip, cut, insert) and with which byte.
+type Edit = (u8, f64, u8);
+
+fn edits() -> impl Strategy<Value = Vec<Edit>> {
+    proptest::collection::vec((0u8..3, 0.0f64..1.0, any::<u8>()), 1..4)
+}
+
+/// Payloads with literals and with matches: arbitrary bytes, or a
+/// four-symbol alphabet.
+fn payloads() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(any::<u8>(), 1..2048),
+    )
+        .prop_map(|(dense, bytes)| {
+            if dense {
+                bytes.into_iter().map(|b| b % 4).collect()
+            } else {
+                bytes
+            }
+        })
+}
+
+/// Apply one to three edits anywhere in `frame`, header included.
+fn damage(frame: &[u8], edits: &[Edit]) -> Vec<u8> {
+    let mut frame = frame.to_vec();
+    for &(kind, at, byte) in edits {
+        let pos = ((frame.len() as f64 * at) as usize).min(frame.len().saturating_sub(1));
+        match kind {
+            0 if !frame.is_empty() => frame[pos] ^= byte | 1,
+            1 => frame.truncate(pos),
+            _ => frame.insert(pos, byte),
+        }
+    }
+    frame
+}
 
 proptest! {
     /// Round-trip identity on arbitrary byte strings.
@@ -91,6 +131,56 @@ proptest! {
                 let _: CodecError = e;
             }
         }
+    }
+
+    /// Bytes off the wire owe the decoder nothing: random ones, behind the
+    /// magic or not, are refused without a panic (and without the decoder
+    /// believing a length they declare).
+    #[test]
+    fn random_bytes_never_panic_the_decoder(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        behind_magic in any::<bool>(),
+    ) {
+        let mut frame = if behind_magic { b"SWZ1".to_vec() } else { Vec::new() };
+        frame.extend(&bytes);
+        let _ = decompress(&frame);
+        let mut stream = if behind_magic { b"SWZS".to_vec() } else { Vec::new() };
+        stream.extend(&bytes);
+        let _ = decompress_stream(&stream);
+        let _ = StreamDecompressor::new().feed(&stream, &mut Vec::new());
+    }
+
+    /// A valid frame with one to three bytes flipped, cut off or inserted —
+    /// anywhere, the header's length and checksum included — is refused or
+    /// decodes to the original; it never panics, and never yields other
+    /// bytes.
+    #[test]
+    fn damaged_frames_never_decode_to_something_else(data in payloads(), edits in edits()) {
+        let frame = damage(&compress(&data), &edits);
+        if let Ok(out) = decompress(&frame) {
+            prop_assert_eq!(out, data);
+        }
+    }
+
+    /// The same through the stream layer, one-shot and incremental: a
+    /// damaged stream yields an error or a prefix of whole chunks of the
+    /// original, never other bytes.
+    #[test]
+    fn damaged_streams_never_decode_to_something_else(data in payloads(), edits in edits()) {
+        let mut c = StreamCompressor::with_chunk_size(Level::Fast, 512);
+        c.write(&data);
+        let stream = damage(&c.finish(), &edits);
+        if let Ok(out) = decompress_stream(&stream) {
+            prop_assert!(data.starts_with(&out), "one-shot decoded foreign bytes");
+        }
+        let mut fed = Vec::new();
+        let mut d = StreamDecompressor::new();
+        for piece in stream.chunks(100) {
+            if d.feed(piece, &mut fed).is_err() {
+                break;
+            }
+        }
+        prop_assert!(data.starts_with(&fed), "incremental decoded foreign bytes");
     }
 
     /// Adler-32 is order-sensitive: permuting bytes changes the sum almost

@@ -1,12 +1,56 @@
 //! Swallow workers: block staging, compression, rate-limited transfer and
 //! the measurement daemon.
+//!
+//! ## The push path
+//!
+//! [`Worker::push_block`] is where Swallow's bet is placed: CPU spent on
+//! the codec buys time on the link only if the link is busy *while* the
+//! codec works. A block the schedule sends to the codec that is larger than
+//! one stream chunk ([`stream::DEFAULT_CHUNK`], 256 KiB) is therefore
+//! pipelined per chunk, on the pushing thread, both halves of the transfer
+//! in one loop:
+//!
+//! ```text
+//! codec   | c0 | c1 | c2 | c3 |d0| c4 |d1| …        | c15 |      |d14|  |d15| put
+//! link         | w0   | w1   | w2   | w3   | …            | w15       |
+//! ```
+//!
+//! * **Sender.** Compress chunk *k*, reserve its wire piece (length word +
+//!   `swz` frame; the stream magic rides with the first piece, the
+//!   terminator with the last) on the egress and the ingress port at once,
+//!   and go on to chunk *k + 1*. [`TokenBucket::reserve`] returns the
+//!   instant the port will have carried the piece instead of sleeping, so
+//!   the modelled transmission of piece *k* runs under the compression of
+//!   its successors. The pieces are, byte for byte, the stream
+//!   [`stream::StreamCompressor`] returns in one go.
+//! * **The arrival rule.** The receiver half decodes and checksum-verifies
+//!   piece *k* no earlier than the instant both ports have finished
+//!   carrying it (plus the lag of a per-flow rate cap, which accumulates
+//!   over the pieces so that the whole push still takes Σ wire / cap). It
+//!   takes the core between two chunks of the sender for whatever has
+//!   landed by then, and sleeps only once nothing is left to compress.
+//! * **All or nothing.** The block is `put` into the receiver's store
+//!   after its last piece has arrived and verified: a `pull` never sees a
+//!   block sooner than Σ wire / rate after its push began, and never a
+//!   partial one.
+//! * **The stored chunk.** With chunk 0 on the wire before chunk 15 is
+//!   compressed, "ship raw if the frame is not smaller" cannot be decided
+//!   for the block; the stream decides it per chunk instead (a chunk that
+//!   does not shrink goes as one literal run, still an ordinary frame), so
+//!   a streamed block costs at most its raw size plus 26 bytes per chunk
+//!   and `compressed` in the result means `wire < raw`.
+//!
+//! A block of at most one chunk, or one the schedule does not compress,
+//! is store-and-forward as it always was: compress (or not), ship the
+//! smaller of frame and raw bytes, decode on arrival.
 
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::bucket::{sleep_until, TokenBucket};
 use crate::config::SwallowConfig;
@@ -116,8 +160,12 @@ impl Worker {
 
     /// Execute a push decided by the scheduler: optionally compress, then
     /// move the bytes through both rate-limited ports into `dst`'s store.
+    /// A block that is compressed and larger than one stream chunk is
+    /// pipelined (module docs); `dst` sees it only once all of it has
+    /// arrived and verified.
     ///
-    /// Returns `(wire_bytes, compressed)`.
+    /// Returns `(wire_bytes, compressed)`; `compressed` is true when fewer
+    /// bytes than the block holds crossed the wire.
     pub fn push_block(
         &self,
         dst: &Worker,
@@ -126,60 +174,86 @@ impl Worker {
         compress_it: bool,
         rate_cap: Option<f64>,
     ) -> (u64, bool) {
-        let (payload, compressed) = if compress_it {
-            self.compressing.fetch_add(1, Ordering::SeqCst);
-            // Large blocks go through the chunked stream format so memory
-            // stays O(chunk); small ones use a single swz frame.
-            let frame = if block.data.len() > stream::DEFAULT_CHUNK {
-                let mut c = stream::StreamCompressor::new(swallow_compress::Level::Fast);
-                c.write(&block.data);
-                c.finish()
-            } else {
-                codec::compress(&block.data)
-            };
-            self.compressing.fetch_sub(1, Ordering::SeqCst);
+        let raw = &block.data;
+        let (stored, wire) = if compress_it && raw.len() > stream::DEFAULT_CHUNK {
+            let mut link = Link::new(self, dst, rate_cap);
+            let decoded = self.push_streamed(&mut link, raw);
+            (Bytes::from(decoded), link.wire)
+        } else {
             // Only ship compressed when it actually helps (swz can expand
             // incompressible payloads slightly).
-            if frame.len() < block.data.len() {
-                (frame, true)
-            } else {
-                (block.data.clone(), false)
-            }
-        } else {
-            (block.data.clone(), false)
-        };
-
-        let wire = payload.len() as u64;
-        // Reserve both ports; the transfer completes when the slower one
-        // does (Eq. 2's min(Bs, Br) as a wall-clock fact). A per-flow rate
-        // cap from `alloc()` lengthens the reservation proportionally.
-        let egress_done = self.egress.reserve(wire);
-        let ingress_done = dst.ingress.reserve(wire);
-        let mut done = egress_done.max(ingress_done);
-        if let Some(cap) = rate_cap {
-            if cap > 0.0 && cap < self.egress.rate() {
-                let extra = wire as f64 / cap - wire as f64 / self.egress.rate();
-                done += std::time::Duration::from_secs_f64(extra.max(0.0));
-            }
-        }
-        sleep_until(done);
-
-        let stored = if compressed {
+            let frame = compress_it
+                .then(|| {
+                    self.compressing.fetch_add(1, Ordering::SeqCst);
+                    let frame = codec::compress(raw);
+                    self.compressing.fetch_sub(1, Ordering::SeqCst);
+                    frame
+                })
+                .filter(|frame| frame.len() < raw.len());
+            let mut link = Link::new(self, dst, rate_cap);
+            sleep_until(link.send(frame.as_ref().unwrap_or(raw).len()));
             // Receiver decompresses on arrival (decompression is much
             // faster than compression — Table II — so we fold it into the
-            // transfer). The frame magic distinguishes the two formats.
-            let decoded = if payload.starts_with(b"SWZS") {
-                stream::decompress_stream(&payload)
-            } else {
-                codec::decompress(&payload)
+            // transfer).
+            let stored = match frame {
+                Some(frame) => {
+                    Bytes::from(codec::decompress(&frame).expect("sender-produced frame decodes"))
+                }
+                None => raw.clone(),
             };
-            Bytes::from(decoded.expect("sender-produced frame decodes"))
-        } else {
-            payload
+            (stored, link.wire)
         };
         dst.store.put(coflow, block.info.block, stored);
         self.sent_since_beat.fetch_add(wire, Ordering::Relaxed);
-        (wire, compressed)
+        (wire, wire < raw.len() as u64)
+    }
+
+    /// The pipelined push of a block of several chunks: both halves of the
+    /// stream on this thread, a chunk apart. Returns what the receiver
+    /// decoded, after the last chunk has arrived and verified.
+    fn push_streamed(&self, link: &mut Link<'_>, raw: &[u8]) -> Vec<u8> {
+        let mut tx = stream::StreamCompressor::new(swallow_compress::Level::Fast);
+        let mut rx = stream::StreamDecompressor::new();
+        let mut decoded = Vec::with_capacity(raw.len());
+        // Wire pieces on the link, or landed but not yet decoded, oldest
+        // first, each with the instant it has fully arrived.
+        let mut in_flight: VecDeque<(Instant, Vec<u8>)> = VecDeque::new();
+        // The receiver half: a piece is decoded and verified no earlier
+        // than the instant it has arrived.
+        let mut receive = |arrives: Instant, piece: &[u8]| {
+            sleep_until(arrives);
+            rx.feed(piece, &mut decoded)
+                .expect("sender-produced frame decodes")
+        };
+
+        self.compressing.fetch_add(1, Ordering::SeqCst);
+        let chunks = raw.len().div_ceil(stream::DEFAULT_CHUNK);
+        for (k, chunk) in raw.chunks(stream::DEFAULT_CHUNK).enumerate() {
+            // The receiver gets the core first, for whatever landed while
+            // the chunk before this one was being compressed.
+            while in_flight
+                .front()
+                .is_some_and(|(arrives, _)| *arrives <= Instant::now())
+            {
+                let (arrives, piece) = in_flight.pop_front().expect("a front was just seen");
+                receive(arrives, &piece);
+            }
+            tx.write(chunk);
+            if k + 1 < chunks {
+                let piece = tx.take_framed();
+                in_flight.push_back((link.send(piece.len()), piece));
+            }
+        }
+        // The last chunk's frame leaves with the terminator behind it.
+        let last = tx.finish();
+        self.compressing.fetch_sub(1, Ordering::SeqCst);
+        let last_arrives = link.send(last.len());
+        // Nothing is left to compress: wait for the rest.
+        for (arrives, piece) in in_flight {
+            receive(arrives, &piece);
+        }
+        receive(last_arrives, &last);
+        decoded
     }
 
     /// Fraction of cores busy compressing right now.
@@ -230,6 +304,48 @@ impl Worker {
                 std::thread::sleep(std::time::Duration::from_secs_f64(heartbeat));
             }
         })
+    }
+}
+
+/// One push's view of the path from a sender's egress port to a receiver's
+/// ingress port: what it has put on the wire and when that arrives.
+struct Link<'a> {
+    egress: &'a TokenBucket,
+    ingress: &'a TokenBucket,
+    /// The per-flow rate cap from `alloc()`, when it binds.
+    cap: Option<f64>,
+    /// Bytes sent so far.
+    wire: u64,
+    /// How far the cap has pushed arrivals behind the ports so far.
+    lag: Duration,
+}
+
+impl<'a> Link<'a> {
+    fn new(src: &'a Worker, dst: &'a Worker, rate_cap: Option<f64>) -> Self {
+        Self {
+            egress: &src.egress,
+            ingress: &dst.ingress,
+            cap: rate_cap.filter(|&cap| cap > 0.0 && cap < src.egress.rate()),
+            wire: 0,
+            lag: Duration::ZERO,
+        }
+    }
+
+    /// Put `bytes` on the wire now and return the instant they have
+    /// arrived. Both ports are reserved at once and the transfer completes
+    /// when the slower one does (Eq. 2's min(Bs, Br) as a wall-clock fact);
+    /// a rate cap delays the arrival by what the capped rate would add,
+    /// and that delay accumulates over the pieces of one push, so the last
+    /// of them lands no sooner than Σ bytes / cap after the first left.
+    fn send(&mut self, bytes: usize) -> Instant {
+        let bytes = bytes as u64;
+        self.wire += bytes;
+        let carried = self.egress.reserve(bytes).max(self.ingress.reserve(bytes));
+        if let Some(cap) = self.cap {
+            let extra = bytes as f64 / cap - bytes as f64 / self.egress.rate();
+            self.lag += Duration::from_secs_f64(extra.max(0.0));
+        }
+        carried + self.lag
     }
 }
 
@@ -309,6 +425,171 @@ mod tests {
         assert!(compressed);
         assert!((wire as usize) < data.len() / 4);
         assert_eq!(b.store.get(CoflowRef(9), BlockId(99)).unwrap(), data);
+    }
+
+    // ---- the pipelined push: links of 30–50 MB/s and blocks of at most
+    // ---- 1.5 MB keep each of these at tens of milliseconds ----
+
+    fn workers(rate: f64, n: u32) -> Vec<Worker> {
+        let cfg = SwallowConfig::default().with_bandwidth(rate);
+        (0..n).map(|id| Worker::new(WorkerId(id), &cfg)).collect()
+    }
+
+    /// splitmix64 noise: incompressible, and the same under any `rand`.
+    fn noise(n: usize, mut x: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn phrase(n: usize) -> Vec<u8> {
+        b"(key_0042,partition_007,value=aggregated_record) "
+            .iter()
+            .copied()
+            .cycle()
+            .take(n)
+            .collect()
+    }
+
+    /// Stream chunks of phrase, every `noisy`-th one noise instead.
+    fn mixed(chunks: usize, noisy: usize) -> Vec<u8> {
+        let mut data = Vec::new();
+        for k in 0..chunks {
+            if k % noisy == noisy - 1 {
+                data.extend(noise(stream::DEFAULT_CHUNK, k as u64));
+            } else {
+                data.extend(phrase(stream::DEFAULT_CHUNK));
+            }
+        }
+        data
+    }
+
+    /// 512-byte pieces of phrase, every third one noise: every chunk of
+    /// it shrinks to about a third (the benchmark's payload shape).
+    fn speckled(len: usize) -> Vec<u8> {
+        let mut data = Vec::with_capacity(len);
+        for k in 0u64.. {
+            if data.len() >= len {
+                break;
+            }
+            let piece = 512.min(len - data.len());
+            if k % 3 == 2 {
+                data.extend(noise(piece, k));
+            } else {
+                data.extend(phrase(piece));
+            }
+        }
+        data
+    }
+
+    fn stream_chunks(len: usize) -> u64 {
+        len.div_ceil(stream::DEFAULT_CHUNK) as u64
+    }
+
+    #[test]
+    fn a_rate_cap_stretches_a_compressed_push_too() {
+        let rate = 40e6;
+        let w = workers(rate, 2);
+        // Six chunks, each about 90 KB on the wire: the cap has to slow
+        // every one of them, not just the last.
+        let data = Bytes::from(speckled(1_500_000));
+        w[0].stage(FlowId(1), BlockId(1), WorkerId(1), data.clone());
+        let staged = w[0].take_staged(BlockId(1)).unwrap();
+        let start = Instant::now();
+        let (wire, compressed) =
+            w[0].push_block(&w[1], CoflowRef(1), staged, true, Some(rate / 4.0));
+        let elapsed = start.elapsed().as_secs_f64();
+        assert!(compressed);
+        assert!(wire > 200_000, "the test needs bytes on the wire: {wire}");
+        let at_cap = wire as f64 / (rate / 4.0);
+        assert!(
+            elapsed >= at_cap * 0.999,
+            "cap not applied: {elapsed} s < {at_cap} s"
+        );
+        assert_eq!(w[1].store.get(CoflowRef(1), BlockId(1)).unwrap(), data);
+    }
+
+    #[test]
+    fn a_block_of_phrase_and_noise_chunks_ships_compressed_and_bounded() {
+        let w = workers(50e6, 2);
+        // Phrase, noise, phrase, noise, phrase: the noisy chunks go stored.
+        let data = Bytes::from(mixed(5, 2));
+        let info = w[0].stage(FlowId(1), BlockId(1), WorkerId(1), data.clone());
+        assert!(info.compressible, "two noisy chunks in five pass the gate");
+        let staged = w[0].take_staged(BlockId(1)).unwrap();
+        let (wire, compressed) =
+            w[0].push_block(&w[1], CoflowRef(1), staged, info.compressible, None);
+        assert!(compressed);
+        assert!(
+            wire < data.len() as u64 / 2,
+            "three chunks in five shrink to nothing: {wire}"
+        );
+        assert!(wire >= 2 * stream::DEFAULT_CHUNK as u64);
+        assert!(wire <= data.len() as u64 + 26 * stream_chunks(data.len()));
+        assert_eq!(w[1].store.get(CoflowRef(1), BlockId(1)).unwrap(), data);
+    }
+
+    #[test]
+    fn a_streamed_block_of_noise_costs_at_most_26_bytes_a_chunk() {
+        let w = workers(50e6, 2);
+        let data = Bytes::from(noise(1_000_000, 9));
+        let info = w[0].stage(FlowId(1), BlockId(1), WorkerId(1), data.clone());
+        assert!(!info.compressible);
+        let staged = w[0].take_staged(BlockId(1)).unwrap();
+        // Forced through the codec against the gate's advice.
+        let (wire, compressed) = w[0].push_block(&w[1], CoflowRef(1), staged, true, None);
+        assert!(!compressed);
+        assert!(wire >= data.len() as u64);
+        assert!(
+            wire <= data.len() as u64 + 26 * stream_chunks(data.len()),
+            "{wire} bytes for {} of noise",
+            data.len()
+        );
+        assert_eq!(w[1].store.get(CoflowRef(1), BlockId(1)).unwrap(), data);
+    }
+
+    #[test]
+    fn interleaved_chunk_reservations_do_not_oversubscribe_a_port() {
+        let rate = 30e6;
+        let w = workers(rate, 3);
+        let data = Bytes::from(speckled(1_500_000));
+        let staged: Vec<StagedBlock> = [1u64, 2]
+            .into_iter()
+            .map(|b| {
+                w[0].stage(FlowId(b), BlockId(b), WorkerId(b as u32), data.clone());
+                w[0].take_staged(BlockId(b)).unwrap()
+            })
+            .collect();
+        // Two pushers, two receivers, one egress port.
+        let go = std::sync::Barrier::new(2);
+        let start = Instant::now();
+        let wire: u64 = std::thread::scope(|scope| {
+            let pushers: Vec<_> = staged
+                .into_iter()
+                .zip(&w[1..])
+                .map(|(block, dst)| {
+                    let (src, go) = (&w[0], &go);
+                    scope.spawn(move || {
+                        go.wait();
+                        src.push_block(dst, CoflowRef(1), block, true, None).0
+                    })
+                })
+                .collect();
+            pushers.into_iter().map(|p| p.join().unwrap()).sum()
+        });
+        let elapsed = start.elapsed().as_secs_f64();
+        assert!(wire > 800_000, "the test needs bytes on the wire: {wire}");
+        let port_time = wire as f64 / rate;
+        assert!(elapsed >= port_time * 0.999, "{elapsed} s < {port_time} s");
+        for (b, dst) in [(1u64, &w[1]), (2, &w[2])] {
+            assert_eq!(dst.store.get(CoflowRef(1), BlockId(b)).unwrap(), data);
+        }
     }
 
     #[test]
