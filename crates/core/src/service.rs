@@ -225,9 +225,11 @@ impl CoflowServiceBuilder {
                 "queue capacity must be at least 1".into(),
             ));
         }
-        if !(self.slice > 0.0) {
+        // An infinite slice would reach `set_guard` below as the guard and
+        // trip its assertion; the engine refuses it too.
+        if !(self.slice.is_finite() && self.slice > 0.0) {
             return Err(SwallowError::InvalidConfig(format!(
-                "slice must be positive, got {}",
+                "slice must be positive and finite, got {}",
                 self.slice
             )));
         }
@@ -487,6 +489,16 @@ mod tests {
             base().admission_ratio(1.5).build(),
             Err(SwallowError::InvalidConfig(_))
         ));
+        // An infinite slice is refused by name, whether the guard defaults
+        // to it or is given (it used to panic inside `set_guard` then).
+        for builder in [base(), base().admission_guard(0.0)] {
+            match builder.slice(f64::INFINITY).build() {
+                Err(SwallowError::InvalidConfig(why)) => {
+                    assert_eq!(why, "slice must be positive and finite, got inf")
+                }
+                other => panic!("infinite slice accepted: {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -102,11 +102,13 @@ impl CpuTrace {
     }
 }
 
-/// CPU capacity of every node in the cluster.
+/// CPU capacity of every node in the cluster: the same core count and the
+/// same background trace on each (held once, not once per node).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CpuModel {
-    cores: Vec<u32>,
-    traces: Vec<CpuTrace>,
+    nodes: usize,
+    cores: u32,
+    trace: CpuTrace,
 }
 
 impl CpuModel {
@@ -114,51 +116,43 @@ impl CpuModel {
     /// always admissible. This is the right model for pure scheduling
     /// studies where CPU contention is not the variable.
     pub fn unconstrained(n: usize, cores: u32) -> Self {
-        assert!(cores > 0, "nodes need at least one core");
-        Self {
-            cores: vec![cores; n],
-            traces: vec![CpuTrace::constant(0.0); n],
-        }
+        Self::uniform(n, cores, CpuTrace::constant(0.0))
     }
 
     /// Uniform cluster with a shared background trace.
     pub fn uniform(n: usize, cores: u32, trace: CpuTrace) -> Self {
         assert!(cores > 0, "nodes need at least one core");
         Self {
-            cores: vec![cores; n],
-            traces: vec![trace; n],
+            nodes: n,
+            cores,
+            trace,
         }
-    }
-
-    /// Heterogeneous cluster.
-    pub fn new(cores: Vec<u32>, traces: Vec<CpuTrace>) -> Self {
-        assert_eq!(cores.len(), traces.len(), "cores/traces must align");
-        assert!(cores.iter().all(|&c| c > 0), "nodes need at least one core");
-        Self { cores, traces }
     }
 
     /// Number of nodes covered.
     pub fn num_nodes(&self) -> usize {
-        self.cores.len()
+        self.nodes
     }
 
     /// Total cores on `node`.
     pub fn cores(&self, node: NodeId) -> u32 {
-        self.cores[node.index()]
+        assert!(node.index() < self.nodes, "{node} is outside the CPU model");
+        self.cores
     }
 
     /// Cores free for compression on `node` at time `t`, i.e. total cores
     /// minus background demand, rounded down (a compression task needs a
     /// whole core to run at the Table II speeds).
     pub fn free_cores(&self, node: NodeId, t: f64) -> u32 {
-        let total = self.cores[node.index()] as f64;
-        let busy = self.traces[node.index()].util_at(t) * total;
+        let total = self.cores(node) as f64;
+        let busy = self.trace.util_at(t) * total;
         (total - busy).floor().max(0.0) as u32
     }
 
     /// Background utilization of `node` at `t` (fraction of all cores).
     pub fn background_util(&self, node: NodeId, t: f64) -> f64 {
-        self.traces[node.index()].util_at(t)
+        assert!(node.index() < self.nodes, "{node} is outside the CPU model");
+        self.trace.util_at(t)
     }
 }
 
