@@ -2,10 +2,8 @@
 //! per scheduling algorithm and per slice length (the Fig. 7(c) cost axis).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swallow_bench::scenario::{
-    self, lz4, run_algorithm, run_algorithm_mode, std_fabric, std_trace, StdScale,
-};
-use swallow_fabric::{units, EngineMode, Fabric};
+use swallow_bench::scenario::{lz4, run_algorithm, std_fabric, std_trace, StdScale};
+use swallow_fabric::units;
 use swallow_sched::Algorithm;
 
 fn bench_algorithms(c: &mut Criterion) {
@@ -50,43 +48,5 @@ fn bench_slice_length(c: &mut Criterion) {
     group.finish();
 }
 
-/// The canonical Fig. 6(a) trace replay, with and without the quiescent
-/// skip-ahead — the same comparison `paper bench-engine` records in
-/// `BENCH_engine.json`, under criterion's statistics.
-fn bench_fig6_replay(c: &mut Criterion) {
-    let bw = units::mbps(400.0);
-    let trace = scenario::fig6_trace(bw, 80, 4.0, 0x6A);
-    let fabric = Fabric::uniform(trace.num_nodes, bw);
-    let mut group = c.benchmark_group("engine_fig6_replay");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(5));
-    for (label, mode) in [
-        ("skip_ahead", EngineMode::SkipAhead),
-        ("naive_slices", EngineMode::NaiveSlice),
-    ] {
-        group.bench_function(BenchmarkId::new("loop", label), |b| {
-            b.iter(|| {
-                let res = run_algorithm_mode(
-                    Algorithm::Fvdf,
-                    &fabric,
-                    &trace.coflows,
-                    Some(lz4()),
-                    0.01,
-                    mode,
-                );
-                assert!(res.all_complete());
-                res.makespan
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_algorithms,
-    bench_slice_length,
-    bench_fig6_replay
-);
+criterion_group!(benches, bench_algorithms, bench_slice_length);
 criterion_main!(benches);

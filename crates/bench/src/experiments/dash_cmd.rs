@@ -33,7 +33,7 @@ pub const EXPERIMENTS: &[&str] = &["fig6a", "small"];
 /// Public so the determinism test can compare two collections directly.
 pub fn collect(experiment: &str, seed: u64, stride: u64) -> TelemetrySnapshot {
     let num_coflows = match experiment {
-        // The canonical Fig. 6(a) trace of `paper bench-engine`.
+        // The canonical Fig. 6(a) trace (`scenario::fig6_trace`).
         "fig6a" | "fig6" => 80,
         // A seconds-scale smoke variant of the same shape (CI uses this).
         "small" => 12,

@@ -27,7 +27,7 @@ pub const EXPERIMENTS: &[&str] = &["fig6a", "small"];
 /// per-policy CCT inflation table and write `TRACE_summary.json`.
 pub fn run(experiment: &str, seed: u64) {
     let num_coflows = match experiment {
-        // The canonical Fig. 6(a) trace of `paper bench-engine`.
+        // The canonical Fig. 6(a) trace (`scenario::fig6_trace`).
         "fig6a" | "fig6" => 80,
         // A seconds-scale smoke variant of the same shape (CI uses this).
         "small" => 12,

@@ -1,7 +1,6 @@
 //! One module per paper artifact. Every `run()` prints the measured values
 //! next to the paper-reported ones.
 
-pub mod bench_engine;
 pub mod dash_cmd;
 pub mod ext;
 pub mod faults_cmd;

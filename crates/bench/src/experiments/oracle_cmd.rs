@@ -5,7 +5,8 @@
 //! For each policy (FVDF, SRTF, FIFO, PFF) the command:
 //!
 //! 1. replays the workload through the naive slice loop, the skip-ahead
-//!    fast path and the empty-fault-plan path, with a fresh online
+//!    fast path and the faults-enabled path (a plan whose one crash falls
+//!    after the run has ended), with a fresh online
 //!    [`swallow_oracle::InvariantChecker`] on every leg, and demands
 //!    **zero** violations and **bit-exact** agreement between the three
 //!    replay legs;

@@ -6,7 +6,7 @@
 //! `trace_event` document loadable in `chrome://tracing` or
 //! <https://ui.perfetto.dev>. A [`TraceSummary`] — event counts, skip-ahead
 //! hit ratio and the reschedule-latency histogram — is printed as tables and
-//! written to `TRACE_summary.json` alongside `BENCH_engine.json`.
+//! written to `TRACE_summary.json`.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -35,7 +35,7 @@ pub fn run(experiment: &str, out: &str) {
     let tracer = Tracer::with_sink(sink);
 
     let res = match experiment {
-        // The canonical Fig. 6(a) trace of `paper bench-engine`.
+        // The canonical Fig. 6(a) trace (`scenario::fig6_trace`).
         "fig6" => replay_fig6(&tracer, 80),
         // A seconds-scale smoke variant of the same shape (CI uses this).
         "small" => replay_fig6(&tracer, 12),

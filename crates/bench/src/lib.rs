@@ -11,7 +11,6 @@
 //! but the *shape* — who wins, by what factor, where crossovers sit — is the
 //! reproduction target. See `EXPERIMENTS.md` for the recorded comparison.
 
-pub mod alloc_track;
 pub mod cli;
 pub mod experiments;
 pub mod parallel;

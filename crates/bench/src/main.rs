@@ -6,10 +6,6 @@
 //!
 //!   fig1  fig2  fig4  fig6a fig6b fig6c fig6d fig6e fig6f
 //!   fig7a fig7b fig7c table1 table2 table3 table5 table8
-//!   bench-engine [--quick] [--tiers LIST] [--no-gate] — engine-mode scale
-//!          sweep (naive vs skip-ahead on seeded `scale` tiers), appending
-//!          to BENCH_engine.json and exiting non-zero when a fast mode
-//!          regresses >25% vs the committed speedup baseline
 //!   trace <experiment> [--out <path>] — traced replay (fig6 | small);
 //!          .jsonl streams events, .json writes a Chrome trace document
 //!   faults <experiment> [--seed N] — replay under a seeded fault plan
@@ -42,10 +38,10 @@
 //!          CoflowService (admission control + background scheduler loop),
 //!          writing a deterministic SERVE_report.json
 //!   slam  [--policy P] [--seed N] [--coflows N] [--queue N] [--out <path>]
-//!          — sustained-load service benchmark: ~12k arrivals pushed as
-//!          fast as admission accepts them; prints wall-clock arrivals/sec
-//!          and p50/p99 admission latency, exits non-zero below 10k/s or
-//!          on any deadline miss surfacing at the pinned seed
+//!          — sustained load on the service: ~12k arrivals pushed as fast
+//!          as admission accepts them; writes the same deterministic
+//!          SERVE_report.json and exits non-zero when an admitted coflow
+//!          did not complete
 //!   tracegen [--out <path>] [--coflows N] [--machines N] [--gap-ms F]
 //!          [--max-mb N] [--seed N] — stream a synthetic Facebook-format
 //!          trace to disk (constant memory; same seed ⇒ identical bytes)
@@ -56,17 +52,11 @@
 //! suppresses narrative output; JSON artifacts are still written.)
 
 use swallow_bench::cli::CommonArgs;
-use swallow_bench::experiments::{bench_engine, ext, fig1, fig2, fig4, fig6, fig7, tables};
 use swallow_bench::experiments::{
     dash_cmd, faults_cmd, oracle_cmd, replay_cmd, sampling_cmd, serve_cmd, trace_cmd, tracegen_cmd,
 };
+use swallow_bench::experiments::{ext, fig1, fig2, fig4, fig6, fig7, tables};
 use swallow_bench::report;
-
-// Makes `bench-engine`'s allocations-per-replay column live; a no-op cost
-// for every other subcommand (one relaxed atomic bump per allocation).
-#[global_allocator]
-static GLOBAL: swallow_bench::alloc_track::CountingAlloc =
-    swallow_bench::alloc_track::CountingAlloc;
 
 fn usage() -> ! {
     eprintln!(
@@ -74,7 +64,6 @@ fn usage() -> ! {
          cmds: fig1 fig2 fig4 fig6 fig6a fig6b fig6c fig6d fig6e fig6f\n\
          \x20     fig7 fig7a fig7b fig7c table1 table2 table3 table5 table8\n\
          \x20     ext ext1 ext2 ext3 ext4 ext5 all\n\
-         \x20     bench-engine [--quick] [--tiers LIST] [--no-gate]\n\
          \x20     trace <experiment> [--out <path>]\n\
          \x20     faults <experiment> [--seed N]\n\
          \x20     oracle <experiment> [--seed N] [--refresh-golden]\n\
@@ -89,11 +78,6 @@ fn usage() -> ! {
          \x20     tracegen [--out <path>] [--coflows N] [--machines N]\n\
          \x20            [--gap-ms F] [--max-mb N] [--seed N]\n\
          (table6 prints with fig6e, table7 with fig7b;\n\
-         \x20bench-engine sweeps the engine modes over seeded scale tiers\n\
-         \x20(naive vs skip-ahead), appends to BENCH_engine.json and exits\n\
-         \x20non-zero on a >25% speedup regression vs the committed record;\n\
-         \x20--quick runs the 10k-coflow tier only, --tiers takes\n\
-         \x20COFLOWSxPORTS cells like 10kx1k,1Mx10k;\n\
          \x20trace replays fig6|small with the structured tracer attached,\n\
          \x20exports the events and writes TRACE_summary.json;\n\
          \x20faults replays fig6a|small under a seeded fault plan, prints\n\
@@ -115,8 +99,8 @@ fn usage() -> ! {
          \x20modes, writing a deterministic REPLAY_report.json;\n\
          \x20serve/slam run the long-running service: streaming arrivals,\n\
          \x20deadline admission control, background scheduler loop; slam is\n\
-         \x20the sustained-load benchmark (deterministic SERVE_report.json,\n\
-         \x20wall-clock throughput printed only);\n\
+         \x20the sustained-load run; both write a deterministic\n\
+         \x20SERVE_report.json;\n\
          \x20tracegen streams a synthetic Facebook-format trace to disk;\n\
          \x20--quiet suppresses narrative output, artifacts still written)"
     );
@@ -230,26 +214,6 @@ fn main() {
                     p.get_or("--seed", 7u64),
                     p.get_or("--stride", 1u64),
                 );
-            }
-            "bench-engine" => {
-                let p = CommonArgs::new(
-                    "bench-engine",
-                    "paper bench-engine [--quick] [--tiers LIST] [--no-gate]",
-                )
-                .switch("--quick")
-                .switch("--no-gate")
-                .value_flag("--tiers")
-                .parse(&args, &mut i);
-                let mut opts = bench_engine::BenchOpts::default();
-                if p.has("--quick") {
-                    opts.tiers = bench_engine::quick_tiers();
-                }
-                opts.gate = !p.has("--no-gate");
-                if let Some(list) = p.flag("--tiers") {
-                    opts.tiers = bench_engine::parse_tiers(list)
-                        .unwrap_or_else(|e| p.die(&format!("--tiers: {e}")));
-                }
-                bench_engine::run_with(&opts);
             }
             "replay" => {
                 let p = CommonArgs::new(

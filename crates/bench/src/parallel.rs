@@ -9,22 +9,20 @@
 //!
 //! The worker count defaults to the machine's available parallelism, capped
 //! by the number of cells; set `SWALLOW_THREADS=1` to force the old
-//! sequential behaviour (or any other count to bound CPU usage);
-//! `SWALLOW_JOBS` is honored as a legacy alias. The engine itself is
-//! single-threaded and reads neither.
+//! sequential behaviour (or any other count to bound CPU usage). The
+//! engine itself is single-threaded and does not read it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of workers for a grid of `items` cells: the `SWALLOW_THREADS`
-/// environment override if set and positive (legacy alias: `SWALLOW_JOBS`),
-/// else the machine's available parallelism. Never more than the number of
-/// cells, and never more than the available parallelism — an oversized
-/// override cannot oversubscribe the machine.
+/// environment override if set and positive, else the machine's available
+/// parallelism. Never more than the number of cells, and never more than
+/// the available parallelism — an oversized override cannot oversubscribe
+/// the machine.
 pub fn worker_count(items: usize) -> usize {
-    let configured = ["SWALLOW_THREADS", "SWALLOW_JOBS"]
-        .iter()
-        .find_map(|var| std::env::var(var).ok())
+    let configured = std::env::var("SWALLOW_THREADS")
+        .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0);
     let hw = std::thread::available_parallelism()
@@ -35,7 +33,7 @@ pub fn worker_count(items: usize) -> usize {
 
 /// Apply `f` to every item on a scoped worker pool and return the results
 /// in input order. Falls back to a plain sequential map when only one
-/// worker is available (or `SWALLOW_JOBS=1`). A panic in any cell
+/// worker is available (or `SWALLOW_THREADS=1`). A panic in any cell
 /// propagates once all workers have stopped.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where

@@ -3,8 +3,8 @@
 //! Every experiment routes its human-readable output through the
 //! [`crate::report!`] macro instead of bare `println!`, so `paper --quiet …`
 //! suppresses the
-//! narrative text while machine-readable artifacts (`BENCH_engine.json`,
-//! `TRACE_summary.json`, trace exports) are still written.
+//! narrative text while machine-readable artifacts (`TRACE_summary.json`,
+//! `ORACLE_report.json`, trace exports) are still written.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use swallow_fabric::view::CompressionSpec;
-use swallow_fabric::{units, Coflow, Engine, EngineMode, Fabric, SimConfig, SimResult};
+use swallow_fabric::{units, Coflow, Engine, Fabric, SimConfig, SimResult};
 use swallow_sched::Algorithm;
 use swallow_workload::gen::{fig1_size_dist_scaled, CoflowGen, GenConfig, Sizing};
 use swallow_workload::{SizeDist, Trace};
@@ -120,8 +120,7 @@ pub fn deadline_trace(
 
 /// The Fig. 6 trace shape: fixed-width coflows over 24 nodes with the
 /// scaled Fig. 1 size distribution. `fig6_trace(units::mbps(400.0), 80,
-/// 4.0, 0x6A)` is the canonical trace of Fig. 6(a) and of the engine
-/// wall-clock benchmark (`paper bench-engine`).
+/// 4.0, 0x6A)` is the canonical trace of Fig. 6(a).
 pub fn fig6_trace(bw: f64, num_coflows: usize, width: f64, seed: u64) -> Trace {
     let coflows = CoflowGen::new(GenConfig {
         num_coflows,
@@ -146,31 +145,9 @@ pub fn run_algorithm(
     compression: Option<Arc<dyn CompressionSpec>>,
     slice: f64,
 ) -> SimResult {
-    run_algorithm_mode(
-        alg,
-        fabric,
-        coflows,
-        compression,
-        slice,
-        EngineMode::SkipAhead,
-    )
-}
-
-/// [`run_algorithm`] with explicit control of the engine's time-advance
-/// mode — [`EngineMode::NaiveSlice`] replays every slice naively, which is
-/// the baseline the engine benchmarks compare against.
-pub fn run_algorithm_mode(
-    alg: Algorithm,
-    fabric: &Fabric,
-    coflows: &[Coflow],
-    compression: Option<Arc<dyn CompressionSpec>>,
-    slice: f64,
-    mode: EngineMode,
-) -> SimResult {
     let mut config = SimConfig::default()
         .with_slice(slice)
-        .with_reschedule(swallow_fabric::engine::Reschedule::EventsOnly)
-        .with_mode(mode);
+        .with_reschedule(swallow_fabric::engine::Reschedule::EventsOnly);
     if let Some(c) = compression {
         config = config.with_compression(c);
     }

@@ -1,13 +1,14 @@
 //! Differential replay: one workload, three engine legs, zero tolerance.
 //!
 //! The engine promises that the naive slice-by-slice loop, the quiescent
-//! skip-ahead fast path and the faults-enabled path under an *empty*
-//! [`FaultPlan`] all produce **bit-identical** results. This module replays
-//! a workload through all three and diffs every outcome — per-flow
-//! completion times, wire bytes, compressor input, per-coflow CCTs, the
-//! makespan and the reschedule count — at the `f64::to_bits` level. Any
-//! mismatch is a semantic regression in one of the paths, found without
-//! knowing which one is right.
+//! skip-ahead fast path and the faults-enabled path under a [`FaultPlan`]
+//! none of whose faults is in force while the run lasts all produce
+//! **bit-identical** results. This module replays a workload through all
+//! three and diffs every outcome — per-flow completion times, wire bytes,
+//! compressor input, per-coflow CCTs, the makespan and the reschedule
+//! count — at the `f64::to_bits` level. Any mismatch is a semantic
+//! regression in one of the paths, found without knowing which one is
+//! right.
 //!
 //! Each leg can also carry its own fresh [`InvariantChecker`], so one call
 //! yields both the equivalence verdict and invariant coverage of every
@@ -61,7 +62,15 @@ impl DifferentialOutcome {
 }
 
 /// Replay `coflows` through three engine legs (skip-ahead, naive,
-/// empty-fault-plan) and diff the outcomes.
+/// faults enabled) and diff the outcomes.
+///
+/// The third leg, reported as `empty_faults`, is skip-ahead again under a
+/// plan that is *not* empty — one worker crash, a second after the first
+/// leg's makespan, on the node the first flow leaves from — so the engine's
+/// fault walk, its capacity limits, its core grants and the skip target's
+/// fault candidate all do their work, and none of it may show: no fault is
+/// in force before the last flow completes. (An empty plan would make this
+/// leg the first one over again; every fault query returns before looking.)
 ///
 /// `base` supplies slice length, compression, CPU model and rescheduling
 /// cadence; its `mode`, `faults` and `check` fields are overridden per
@@ -101,9 +110,14 @@ pub fn differential_replay(
 
     let fast = run("skip_ahead", &|c| c.with_mode(EngineMode::SkipAhead));
     let naive = run("naive", &|c| c.with_mode(EngineMode::NaiveSlice));
+    let crash_node = coflows
+        .iter()
+        .find_map(|c| c.flows.first())
+        .map_or(0, |f| f.src.0);
+    let late_crash = FaultPlan::new().crash(crash_node, fast.makespan + 1.0, None);
     let faulted = run("empty_faults", &|c| {
         c.with_mode(EngineMode::SkipAhead)
-            .with_faults(FaultPlan::new().injector())
+            .with_faults(late_crash.injector())
     });
 
     let mut mismatches = Vec::new();

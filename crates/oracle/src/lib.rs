@@ -12,7 +12,8 @@
 //!    ledgers and fault idling.
 //! 2. **Differential replay** ([`differential_replay`]) — the same workload
 //!    through the naive slice loop, the skip-ahead fast path and the
-//!    empty-fault-plan path, diffed bit-exactly.
+//!    faults-enabled path (under a plan whose one fault falls after the run
+//!    has ended), diffed bit-exactly.
 //! 3. **Analytic bounds** ([`check_lower_bounds`]) — the concurrent-open-shop
 //!    lower bounds from `swallow-sched::bounds` as hard floors under every
 //!    measured metric.

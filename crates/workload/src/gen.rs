@@ -247,11 +247,11 @@ impl Iterator for CoflowIter {
     }
 }
 
-/// Seeded scale-tier workload for the engine benchmarks (`paper
-/// bench-engine`): `n_coflows` narrow coflows over `n_ports` nodes.
+/// Seeded scale-tier workload for the engine's idle regime (the
+/// benchmark's `fabric-idle`): `n_coflows` narrow coflows over `n_ports` nodes.
 ///
 /// The tiers stress the *engine*, not the schedulers, so the trace is
-/// calibrated for a sparse-event regime at 1 Gbps ports and the bench's
+/// calibrated for a sparse-event regime at 1 Gbps ports and a
 /// 1 ms slice: flows of 40–120 MB each serve in roughly 0.3–1 s while
 /// coflows arrive once per second on average, so the naive loop walks
 /// hundreds of quiescent slice boundaries per observable event — exactly

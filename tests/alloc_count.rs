@@ -37,11 +37,15 @@
 //! entry removed, two upgrades counted — allocates nothing.
 //!
 //! This file is its own integration-test binary so the `#[global_allocator]`
-//! hook cannot interfere with any other test, and it contains a single test
-//! function so no concurrent test pollutes the counter.
+//! hook cannot interfere with any other test. The counter is per thread:
+//! every measured region runs on the test's own thread, and what libtest's
+//! main thread allocates while it waits is counted somewhere the test never
+//! reads. A process-wide counter saw that as four extra allocations in a
+//! region, between one run in a hundred and one in five depending on the
+//! host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use swallow_repro::fabric::engine::Reschedule;
 use swallow_repro::fabric::view::{FabricView, FlowView};
 use swallow_repro::fabric::{CoflowId, FlowId, NodeId};
@@ -49,21 +53,37 @@ use swallow_repro::prelude::*;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it from inside
+    // the allocator neither allocates nor can find it torn down.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Heap allocations this thread has made so far.
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn bump() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// `GlobalAlloc` contract is the one the caller upholds; the counter touches
+// no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -76,9 +96,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations_during(f: impl FnOnce() -> SimResult) -> (u64, SimResult) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     let res = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, res)
+    (allocations() - before, res)
 }
 
 /// A static single-arrival coflow on disjoint port pairs whose flow sizes
@@ -170,11 +190,11 @@ fn allocations_of_warm_allocate(alg: Algorithm, interleaved: bool, calls: u64) -
     for _ in 0..2 {
         assert!(!policy.allocate(&view).is_empty());
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..calls {
         std::hint::black_box(policy.allocate(std::hint::black_box(&view)));
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 /// Heap allocations of `pairs` `on_arrival` / `on_completion` pairs on an
@@ -190,12 +210,12 @@ fn allocations_of_warm_hooks(alg: Algorithm, below: bool, pairs: u64) -> u64 {
     // Grow the table to the size the pairs below reach.
     policy.on_arrival(&guest, 30.0);
     policy.on_completion(guest.id, 30.0);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..pairs {
         policy.on_arrival(std::hint::black_box(&guest), 31.0);
         policy.on_completion(std::hint::black_box(guest.id), 32.0);
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 /// Replay an idle trace the way the benchmark's `fabric-idle` does (8 000

@@ -141,6 +141,16 @@ fn modes_agree_under_contention() {
     assert!(peak >= 20, "only {peak} coflows ever overlapped");
 }
 
+/// Every flow done, and every record, the makespan and the reschedule count
+/// equal between a skip-ahead and a naive run of one trace.
+fn assert_complete_and_identical(fast: &SimResult, naive: &SimResult) {
+    assert!(naive.all_complete());
+    assert_eq!(fast.flows, naive.flows);
+    assert_eq!(fast.coflows, naive.coflows);
+    assert_eq!(fast.makespan.to_bits(), naive.makespan.to_bits());
+    assert_eq!(fast.reschedules, naive.reschedules);
+}
+
 /// What skip-ahead visits under contention is pinned, not only what it
 /// computes: the engine remembers where a jump aimed and skips the target
 /// scan on landing, which must not move a single visited boundary. The
@@ -202,11 +212,7 @@ fn jumps_under_contention_are_the_ones_pinned() {
     .run(&mut FvdfPolicy::new());
     let fast = Engine::new(fabric, coflows, config.with_tracer(tracer.clone()))
         .run(&mut FvdfPolicy::new());
-    assert!(naive.all_complete());
-    assert_eq!(fast.flows, naive.flows);
-    assert_eq!(fast.coflows, naive.coflows);
-    assert_eq!(fast.makespan.to_bits(), naive.makespan.to_bits());
-    assert_eq!(fast.reschedules, naive.reschedules);
+    assert_complete_and_identical(&fast, &naive);
 
     // FNV-1a over the `(from_slice, to_slice)` sequence.
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
@@ -233,6 +239,40 @@ fn jumps_under_contention_are_the_ones_pinned() {
             hash,
         ),
         (410, 244, 1474, 393, 0x4B1ECEFECA03FBD6)
+    );
+}
+
+/// The idle regime at the benchmark's shape — `gen::scale` at its own pinned
+/// seed, FVDF + LZ4, δ = 1 ms — and at a size where a skip-ahead that
+/// stopped skipping would show: over four million busy boundaries, of which
+/// the fast path may visit one in a hundred (it visits 0.86 %). Both modes
+/// to the bit, and the skipped share from the tracer's slice counters: a
+/// count, not a time.
+#[test]
+fn skip_ahead_skips_99_percent_of_the_10k_tier_and_agrees_to_the_bit() {
+    let cfg = scale(10_000, 1_000);
+    let coflows = CoflowGen::new(cfg.clone()).generate();
+    let fabric = Fabric::uniform(cfg.num_nodes, units::gbps(1.0));
+    let config = SimConfig::default()
+        .with_slice(0.001)
+        .with_reschedule(Reschedule::EventsOnly)
+        .with_compression(Arc::new(ProfiledCompression::constant(Table2::Lz4)));
+    let tracer = Tracer::new(swallow_repro::trace::RingSink::new(64));
+    let naive = Engine::new(
+        fabric.clone(),
+        coflows.clone(),
+        config.clone().with_mode(EngineMode::NaiveSlice),
+    )
+    .run(&mut FvdfPolicy::new());
+    let fast = Engine::new(fabric, coflows, config.with_tracer(tracer.clone()))
+        .run(&mut FvdfPolicy::new());
+    assert_complete_and_identical(&fast, &naive);
+
+    let summary = tracer.summary().expect("tracer is enabled");
+    let (skipped, visited) = (summary.slices_skipped, summary.slices_processed);
+    assert!(
+        skipped as f64 >= 0.99 * (skipped + visited) as f64,
+        "skip-ahead skipped {skipped} boundaries and visited {visited}"
     );
 }
 

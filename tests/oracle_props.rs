@@ -2,7 +2,8 @@
 //! drive the online invariant checker and the three-path differential
 //! replay. Whatever the trace, every policy must respect physics at every
 //! slice boundary and produce bit-identical results on the naive loop, the
-//! skip-ahead fast path and the empty-fault-plan path.
+//! skip-ahead fast path and the faults-enabled path (a plan whose one crash
+//! falls after the run has ended).
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -116,7 +117,7 @@ proptest! {
         }
     }
 
-    /// Naive loop, skip-ahead and empty-fault-plan paths agree bit-exactly
+    /// Naive loop, skip-ahead and faults-enabled paths agree bit-exactly
     /// on every random workload, for every policy.
     #[test]
     fn replay_paths_agree_on_random_workloads(
